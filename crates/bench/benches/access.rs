@@ -57,6 +57,24 @@ fn bench_access(c: &mut Criterion) {
     group.bench_function("build_search_index", |b| {
         b.iter(|| SearchIndex::build(warehouse.aladin()).unwrap())
     });
+    group.bench_function("reachable_depth2", |b| {
+        b.iter(|| warehouse.reachable(&first_object, 2).unwrap())
+    });
+    group.bench_function("composed_search_follow_cursor", |b| {
+        b.iter(|| {
+            let cursor = warehouse
+                .search("kinase")
+                .follow_links(None, 1)
+                .from_source("structdb")
+                .cursor(10)
+                .unwrap();
+            let mut rows = 0usize;
+            for page in cursor {
+                rows += page.unwrap().len();
+            }
+            rows
+        })
+    });
     group.finish();
 }
 

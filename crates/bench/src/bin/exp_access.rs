@@ -4,7 +4,7 @@
 //! (gene → protein → structure / disease-style traversal).
 
 use aladin_bench::{integrate_corpus, print_table};
-use aladin_core::access::SearchIndex;
+use aladin_core::access::{SearchIndex, Warehouse};
 use aladin_core::AladinConfig;
 use aladin_datagen::{Corpus, CorpusConfig};
 use std::time::Instant;
@@ -14,7 +14,7 @@ fn main() {
     config.gene_fraction = 0.9;
     let corpus = Corpus::generate(&config);
     let (aladin, _) = integrate_corpus(&corpus, AladinConfig::default());
-    let warehouse = aladin.into_warehouse();
+    let warehouse = Warehouse::from_aladin(aladin);
 
     // Ranked search (index build timed separately; the warehouse caches it).
     let start = Instant::now();

@@ -239,9 +239,7 @@ fn run_scenario(
 
 fn build_server(corpus: &Corpus, config: ServeConfig) -> Server {
     let (aladin, _) = integrate_corpus(corpus, AladinConfig::default());
-    aladin
-        .serve_with(config)
-        .expect("initial snapshot publishes")
+    Server::start(aladin, config).expect("initial snapshot publishes")
 }
 
 fn main() {

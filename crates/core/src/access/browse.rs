@@ -2,28 +2,16 @@
 //! secondary objects, to related objects, to duplicates) that users can
 //! follow."
 //!
-//! The browser exposes the four relationship types of Section 4.6: same
+//! An [`ObjectView`] holds the four relationship types of Section 4.6: same
 //! relation, dependency (secondary annotation), duplicates, and links to other
-//! sources.
+//! sources. [`crate::access::Warehouse`] serves these views from its cached
+//! link adjacency; this module holds the routines it runs.
 
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkAdjacency, LinkKind, Neighbour, ObjectRef};
 use crate::pipeline::Aladin;
 use crate::secondary::owner_accessions;
 use serde::{Deserialize, Serialize};
-
-/// The four kinds of neighbours a user can navigate to from an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NeighbourKind {
-    /// Another object of the same relation (same table).
-    SameRelation,
-    /// A dependent (secondary) annotation row.
-    Dependency,
-    /// A flagged duplicate in another source.
-    Duplicate,
-    /// A discovered link into another source.
-    Linked,
-}
 
 /// One row of secondary annotation displayed with an object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -208,13 +196,15 @@ pub(crate) fn annotation_by_owner(
     Ok(by_owner)
 }
 
+/// How many same-relation neighbours a view shows.
+const SAME_RELATION_LIMIT: usize = 5;
+
 /// Build the full browsable view of one object given its link neighbourhood
-/// (from the cached adjacency, or a one-off `links_of` scan).
+/// from the cached adjacency.
 pub(crate) fn object_view(
     aladin: &Aladin,
     neighbours: &[Neighbour],
     object: &ObjectRef,
-    same_relation_limit: usize,
 ) -> AladinResult<ObjectView> {
     let source = &object.source;
     let structure = aladin
@@ -252,7 +242,7 @@ pub(crate) fn object_view(
         .iter()
         .enumerate()
         .filter(|(i, _)| *i != row_idx)
-        .take(same_relation_limit)
+        .take(SAME_RELATION_LIMIT)
         .map(|(_, r)| ObjectRef::new(source, primary.table.clone(), r[acc_idx].render()))
         .collect();
 
@@ -315,186 +305,34 @@ pub(crate) fn reachable_from(
     out
 }
 
-/// The browse engine: a thin shim over the shared browse routines, kept so
-/// existing callers compile. New code should use
-/// [`crate::access::Warehouse`], which additionally reuses a cached link
-/// adjacency across calls.
-#[deprecated(note = "use `Warehouse` — it serves the same views from cached access structures")]
-pub struct BrowseEngine<'a> {
-    aladin: &'a Aladin,
-    /// How many same-relation neighbours to show.
-    pub same_relation_limit: usize,
-}
-
-#[allow(deprecated)]
-impl<'a> BrowseEngine<'a> {
-    /// Create a browse engine over an integrated warehouse.
-    pub fn new(aladin: &'a Aladin) -> BrowseEngine<'a> {
-        BrowseEngine {
-            aladin,
-            same_relation_limit: 5,
-        }
-    }
-
-    /// Resolve an accession within a source to an object reference.
-    pub fn find_object(&self, source: &str, accession: &str) -> AladinResult<ObjectRef> {
-        resolve_object(self.aladin, source, accession)
-    }
-
-    /// Build the full view of one object.
-    pub fn view(&self, object: &ObjectRef) -> AladinResult<ObjectView> {
-        // One filtered scan over the link set for this single object; the
-        // cached-adjacency path belongs to `Warehouse`.
-        let neighbours: Vec<Neighbour> = self
-            .aladin
-            .metadata()
-            .links_of(object)
-            .into_iter()
-            .map(|link| {
-                let other = if &link.from == object {
-                    link.to.clone()
-                } else {
-                    link.from.clone()
-                };
-                Neighbour {
-                    object: other,
-                    kind: link.kind,
-                    score: link.score,
-                }
-            })
-            .collect();
-        object_view(self.aladin, &neighbours, object, self.same_relation_limit)
-    }
-
-    /// Follow links transitively from a start object up to the given depth,
-    /// returning the set of reachable objects (breadth-first, excluding the
-    /// start).
-    pub fn reachable(&self, start: &ObjectRef, depth: usize) -> Vec<ObjectRef> {
-        reachable_from(&self.aladin.metadata().build_adjacency(), start, depth)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::config::AladinConfig;
-    use aladin_relstore::{ColumnDef, Database, TableSchema, Value};
-
-    fn warehouse() -> Aladin {
-        let config = AladinConfig {
-            link_min_matches: 1,
-            min_distinct_values: 2,
-            ..Default::default()
-        };
-        let mut aladin = Aladin::new(config);
-
-        let mut protkb = Database::new("protkb");
-        protkb
-            .create_table(
-                "protkb_entry",
-                TableSchema::of(vec![
-                    ColumnDef::int("entry_id"),
-                    ColumnDef::text("ac"),
-                    ColumnDef::text("de"),
-                ]),
-            )
-            .unwrap();
-        protkb
-            .create_table(
-                "protkb_kw",
-                TableSchema::of(vec![
-                    ColumnDef::int("kw_id"),
-                    ColumnDef::int("entry_id"),
-                    ColumnDef::text("value"),
-                ]),
-            )
-            .unwrap();
-        for (i, desc) in [
-            "serine kinase enzyme",
-            "sugar transporter protein",
-            "ribosome factor",
-        ]
-        .iter()
-        .enumerate()
-        {
-            protkb
-                .insert(
-                    "protkb_entry",
-                    vec![
-                        Value::Int(i as i64 + 1),
-                        Value::text(format!("P1000{}", i + 1)),
-                        Value::text(*desc),
-                    ],
-                )
-                .unwrap();
-        }
-        for (id, entry, kw) in [(1, 1, "Kinase"), (2, 1, "ATP-binding"), (3, 2, "Transport")] {
-            protkb
-                .insert(
-                    "protkb_kw",
-                    vec![Value::Int(id), Value::Int(entry), Value::text(kw)],
-                )
-                .unwrap();
-        }
-        aladin.add_database(protkb).unwrap();
-
-        let mut structdb = Database::new("structdb");
-        structdb
-            .create_table(
-                "structures",
-                TableSchema::of(vec![
-                    ColumnDef::text("structure_id"),
-                    ColumnDef::text("title"),
-                    ColumnDef::text("protein_ref"),
-                ]),
-            )
-            .unwrap();
-        for (acc, title, pref) in [
-            ("1ABC", "kinase structure", Some("P10001")),
-            ("2DEF", "transporter structure", Some("P10002")),
-            ("3GHI", "unannotated structure", None),
-        ] {
-            structdb
-                .insert(
-                    "structures",
-                    vec![
-                        Value::text(acc),
-                        Value::text(title),
-                        pref.map(Value::text).unwrap_or(Value::Null),
-                    ],
-                )
-                .unwrap();
-        }
-        aladin.add_database(structdb).unwrap();
-        aladin
-    }
+    use crate::access::warehouse::tests::warehouse;
+    use crate::metadata::{LinkKind, ObjectRef};
 
     #[test]
     fn find_object_resolves_accessions() {
-        let aladin = warehouse();
-        let browse = BrowseEngine::new(&aladin);
-        let obj = browse.find_object("protkb", "P10001").unwrap();
+        let w = warehouse();
+        let obj = w.find_object("protkb", "P10001").unwrap();
         assert_eq!(obj.table, "protkb_entry");
-        assert!(browse.find_object("protkb", "NOPE99").is_err());
-        assert!(browse.find_object("missing", "P10001").is_err());
+        assert!(w.find_object("protkb", "NOPE99").is_err());
+        assert!(w.find_object("missing", "P10001").is_err());
     }
 
     #[test]
     fn view_exposes_all_four_neighbour_kinds() {
-        let aladin = warehouse();
-        let browse = BrowseEngine::new(&aladin);
-        let obj = browse.find_object("protkb", "P10001").unwrap();
-        let view = browse.view(&obj).unwrap();
+        let w = warehouse();
+        let obj = w.find_object("protkb", "P10001").unwrap();
+        let view = w.view(&obj).unwrap();
 
         // Attributes of the primary row.
         assert!(view
             .attributes
             .iter()
             .any(|(c, v)| c == "de" && v.contains("kinase")));
-        // Dependency: two keyword rows belong to P10001.
-        assert_eq!(view.annotation.len(), 2);
-        assert!(view.annotation.iter().all(|a| a.table == "protkb_kw"));
+        // Dependency: the one DR row belonging to P10001.
+        assert_eq!(view.annotation.len(), 1);
+        assert!(view.annotation.iter().all(|a| a.table == "protkb_dr"));
         // Same relation: the two other proteins.
         assert_eq!(view.same_relation.len(), 2);
         // Linked: the structure cross-reference discovered at integration time.
@@ -506,22 +344,19 @@ mod tests {
 
     #[test]
     fn view_of_unknown_object_errors() {
-        let aladin = warehouse();
-        let browse = BrowseEngine::new(&aladin);
+        let w = warehouse();
         let bogus = ObjectRef::new("protkb", "protkb_entry", "P99999");
-        assert!(browse.view(&bogus).is_err());
+        assert!(w.view(&bogus).is_err());
     }
 
     #[test]
     fn reachable_traverses_links() {
-        let aladin = warehouse();
-        let browse = BrowseEngine::new(&aladin);
-        let obj = browse.find_object("protkb", "P10001").unwrap();
-        let depth1 = browse.reachable(&obj, 1);
+        let w = warehouse();
+        let obj = w.find_object("protkb", "P10001").unwrap();
+        let depth1 = w.reachable(&obj, 1).unwrap();
         assert!(depth1.iter().any(|o| o.accession == "1ABC"));
-        let depth0 = browse.reachable(&obj, 0);
-        assert!(depth0.is_empty());
+        assert!(w.reachable(&obj, 0).unwrap().is_empty());
         // Depth 2 reaches at least as much as depth 1.
-        assert!(browse.reachable(&obj, 2).len() >= depth1.len());
+        assert!(w.reachable(&obj, 2).unwrap().len() >= depth1.len());
     }
 }

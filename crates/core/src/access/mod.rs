@@ -39,25 +39,16 @@
 //! # Ok::<(), aladin_core::AladinError>(())
 //! ```
 //!
-//! # Legacy engines
-//!
-//! The former per-mode engines ([`BrowseEngine`], [`SearchEngine`],
-//! [`QueryEngine`]) remain as thin deprecated shims over the same internals
-//! so existing callers keep compiling, but they rebuild access structures on
-//! every call — migrate to [`Warehouse`].
+//! The `browse`, `search` and `query` modules hold the routines the facade
+//! runs for each mode, plus the result types it returns ([`ObjectView`],
+//! [`ObjectHit`]) and the [`SearchIndex`] it caches.
 
 pub mod browse;
-pub mod query;
+mod query;
 pub mod search;
 pub mod warehouse;
 
-#[allow(deprecated)]
-pub use browse::BrowseEngine;
-pub use browse::{AnnotationRow, NeighbourKind, ObjectView};
-#[allow(deprecated)]
-pub use query::QueryEngine;
-#[allow(deprecated)]
-pub use search::SearchEngine;
+pub use browse::{AnnotationRow, ObjectView};
 pub use search::{ObjectHit, SearchIndex};
 pub use warehouse::{
     AttrFilter, ObjectCursor, ObjectQuery, ObjectRecord, QuerySpec, RecordOrigin, Warehouse,

@@ -3,11 +3,15 @@
 //! "Finally, querying allows full SQL queries on the schemata as imported."
 //! (Section 4.6) Queries run against the relational representation of a single
 //! source; in addition, the discovered paths "may also be used to guide the
-//! construction of structured queries" — [`QueryEngine::join_path_plan`]
+//! construction of structured queries" — [`Warehouse::join_path_plan`]
 //! builds the join along a discovered path so users can query annotation
 //! without knowing the foreign keys, and
-//! [`QueryEngine::cross_source_objects`] answers the multi-database object
-//! queries of Section 6 by following discovered object links.
+//! [`Warehouse::cross_source_objects`] answers the multi-database object
+//! queries of Section 6 by following discovered object links. This module
+//! holds the routines those methods run.
+//!
+//! [`Warehouse::join_path_plan`]: crate::access::Warehouse::join_path_plan
+//! [`Warehouse::cross_source_objects`]: crate::access::Warehouse::cross_source_objects
 
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkAdjacency, LinkKind, ObjectRef};
@@ -117,142 +121,14 @@ pub(crate) fn cross_source_over(
     Ok(out)
 }
 
-/// The query engine: a thin shim over the shared query routines, kept so
-/// existing callers compile. New code should use
-/// [`crate::access::Warehouse`], which reuses a cached link adjacency for
-/// cross-source queries instead of rebuilding one per call.
-#[deprecated(note = "use `Warehouse` — it serves the same queries from cached access structures")]
-pub struct QueryEngine<'a> {
-    aladin: &'a Aladin,
-}
-
-#[allow(deprecated)]
-impl<'a> QueryEngine<'a> {
-    /// Create a query engine over an integrated warehouse.
-    pub fn new(aladin: &'a Aladin) -> QueryEngine<'a> {
-        QueryEngine { aladin }
-    }
-
-    /// Run a SQL query against the imported schema of one source.
-    pub fn sql(&self, source: &str, query: &str) -> AladinResult<Table> {
-        run_sql(self.aladin, source, query)
-    }
-
-    /// Build a logical plan joining the primary relation of a source to one of
-    /// its secondary tables along the discovered path (inner joins on the
-    /// guessed relationship columns).
-    pub fn join_path_plan(&self, source: &str, secondary_table: &str) -> AladinResult<LogicalPlan> {
-        build_join_path_plan(self.aladin, source, secondary_table)
-    }
-
-    /// Execute the path-guided join for a source and secondary table.
-    pub fn join_path(&self, source: &str, secondary_table: &str) -> AladinResult<Table> {
-        let db = self.aladin.database(source)?;
-        let plan = self.join_path_plan(source, secondary_table)?;
-        Ok(exec::execute_optimized(db, &plan)?)
-    }
-
-    /// Cross-source object query: starting from the objects of `start_source`,
-    /// follow discovered links (of any non-duplicate kind) and return, for
-    /// each start object, the linked objects that belong to `target_source`.
-    /// Results are ordered by the number of independent link paths, as the
-    /// paper suggests for ranking ("query results can be ordered based on the
-    /// number [...] of different paths between two objects").
-    pub fn cross_source_objects(
-        &self,
-        start_source: &str,
-        target_source: &str,
-    ) -> AladinResult<Vec<(ObjectRef, ObjectRef, usize)>> {
-        let adjacency = self.aladin.metadata().build_adjacency();
-        cross_source_over(self.aladin, &adjacency, start_source, target_source)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::config::AladinConfig;
-    use aladin_relstore::{ColumnDef, Database, TableSchema, Value};
-
-    fn warehouse() -> Aladin {
-        let config = AladinConfig {
-            link_min_matches: 1,
-            min_distinct_values: 2,
-            ..Default::default()
-        };
-        let mut aladin = Aladin::new(config);
-        let mut protkb = Database::new("protkb");
-        protkb
-            .create_table(
-                "protkb_entry",
-                TableSchema::of(vec![
-                    ColumnDef::int("entry_id"),
-                    ColumnDef::text("ac"),
-                    ColumnDef::text("de"),
-                ]),
-            )
-            .unwrap();
-        protkb
-            .create_table(
-                "protkb_dr",
-                TableSchema::of(vec![
-                    ColumnDef::int("dr_id"),
-                    ColumnDef::int("entry_id"),
-                    ColumnDef::text("value"),
-                ]),
-            )
-            .unwrap();
-        for i in 1..=3i64 {
-            protkb
-                .insert(
-                    "protkb_entry",
-                    vec![
-                        Value::Int(i),
-                        Value::text(format!("P1000{i}")),
-                        Value::text(format!("protein number {i} with a function")),
-                    ],
-                )
-                .unwrap();
-        }
-        for (id, entry, v) in [(1, 1, "STRUCTDB; 1ABC"), (2, 2, "STRUCTDB; 2DEF")] {
-            protkb
-                .insert(
-                    "protkb_dr",
-                    vec![Value::Int(id), Value::Int(entry), Value::text(v)],
-                )
-                .unwrap();
-        }
-        aladin.add_database(protkb).unwrap();
-
-        let mut structdb = Database::new("structdb");
-        structdb
-            .create_table(
-                "structures",
-                TableSchema::of(vec![
-                    ColumnDef::text("structure_id"),
-                    ColumnDef::text("title"),
-                ]),
-            )
-            .unwrap();
-        for (acc, t) in [
-            ("1ABC", "kinase fold"),
-            ("2DEF", "transporter fold"),
-            ("3GHI", "other fold"),
-        ] {
-            structdb
-                .insert("structures", vec![Value::text(acc), Value::text(t)])
-                .unwrap();
-        }
-        aladin.add_database(structdb).unwrap();
-        aladin
-    }
+    use crate::access::warehouse::tests::warehouse;
 
     #[test]
     fn sql_queries_run_against_a_source() {
-        let aladin = warehouse();
-        let q = QueryEngine::new(&aladin);
-        let result = q
+        let w = warehouse();
+        let result = w
             .sql(
                 "protkb",
                 "SELECT ac FROM protkb_entry WHERE ac LIKE 'P%' ORDER BY ac",
@@ -260,15 +136,14 @@ mod tests {
             .unwrap();
         assert_eq!(result.row_count(), 3);
         assert_eq!(result.cell(0, "ac").unwrap().render(), "P10001");
-        assert!(q.sql("missing", "SELECT * FROM t").is_err());
-        assert!(q.sql("protkb", "SELECT FROM").is_err());
+        assert!(w.sql("missing", "SELECT * FROM t").is_err());
+        assert!(w.sql("protkb", "SELECT FROM").is_err());
     }
 
     #[test]
     fn explain_sql_returns_the_optimized_plan() {
-        let aladin = warehouse();
-        let q = QueryEngine::new(&aladin);
-        let plan = q
+        let w = warehouse();
+        let plan = w
             .sql(
                 "protkb",
                 "EXPLAIN SELECT * FROM protkb_entry WHERE ac = 'P10001'",
@@ -283,12 +158,11 @@ mod tests {
 
     #[test]
     fn sql_is_statically_checked_and_explain_reports_analysis() {
-        let aladin = warehouse();
-        let q = QueryEngine::new(&aladin);
+        let w = warehouse();
 
         // SELECTs run through the analyzer: an unknown column is refused
         // with a suggestion instead of failing mid-execution.
-        let err = q
+        let err = w
             .sql("protkb", "SELECT acc FROM protkb_entry")
             .unwrap_err()
             .to_string();
@@ -297,7 +171,7 @@ mod tests {
 
         // EXPLAIN appends the analysis section after the plan lines when
         // the analyzer has diagnostics...
-        let out = q
+        let out = w
             .sql(
                 "protkb",
                 "EXPLAIN SELECT * FROM protkb_entry WHERE entry_id = 1 AND entry_id = 2",
@@ -317,7 +191,7 @@ mod tests {
         );
 
         // ...and stays plan-only for clean queries.
-        let out = q
+        let out = w
             .sql("protkb", "EXPLAIN SELECT ac FROM protkb_entry")
             .unwrap();
         let lines = out.column_values("plan").unwrap();
@@ -326,27 +200,25 @@ mod tests {
 
     #[test]
     fn path_guided_join_connects_primary_and_annotation() {
-        let aladin = warehouse();
-        let q = QueryEngine::new(&aladin);
-        let joined = q.join_path("protkb", "protkb_dr").unwrap();
+        let w = warehouse();
+        let joined = w.join_path("protkb", "protkb_dr").unwrap();
         // Two DR rows, each joined to its entry.
         assert_eq!(joined.row_count(), 2);
         assert!(joined.schema().index_of("ac").is_some());
         assert!(joined.schema().index_of("value").is_some());
         // Unknown secondary tables are reported.
-        assert!(q.join_path("protkb", "nope").is_err());
+        assert!(w.join_path("protkb", "nope").is_err());
     }
 
     #[test]
     fn cross_source_query_follows_links() {
-        let aladin = warehouse();
-        let q = QueryEngine::new(&aladin);
-        let pairs = q.cross_source_objects("protkb", "structdb").unwrap();
+        let w = warehouse();
+        let pairs = w.cross_source_objects("protkb", "structdb").unwrap();
         assert_eq!(pairs.len(), 2);
         assert!(pairs
             .iter()
             .any(|(p, s, _)| p.accession == "P10001" && s.accession == "1ABC"));
         assert!(pairs.iter().all(|(_, _, n)| *n >= 1));
-        assert!(q.cross_source_objects("protkb", "missing").is_err());
+        assert!(w.cross_source_objects("protkb", "missing").is_err());
     }
 }

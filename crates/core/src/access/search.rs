@@ -36,12 +36,6 @@ pub struct SearchIndex {
     index: InvertedIndex,
 }
 
-/// Former name of [`SearchIndex`], kept so existing callers compile.
-#[deprecated(
-    note = "access search through `Warehouse`, which caches and invalidates the index automatically"
-)]
-pub type SearchEngine = SearchIndex;
-
 impl SearchIndex {
     /// Build the index over the current state of the warehouse.
     pub fn build(aladin: &Aladin) -> AladinResult<SearchIndex> {
@@ -109,7 +103,8 @@ impl SearchIndex {
     /// Full-text search over all sources.
     pub fn search(&self, query: &str, top_k: usize) -> Vec<ObjectHit> {
         self.resolve(
-            self.index.search(query, top_k * 3, &SearchFilter::any()),
+            self.index
+                .search(query, top_k.saturating_mul(3), &SearchFilter::any()),
             top_k,
         )
     }
@@ -117,8 +112,11 @@ impl SearchIndex {
     /// Focused search restricted to one source (horizontal partition).
     pub fn search_source(&self, query: &str, source: &str, top_k: usize) -> Vec<ObjectHit> {
         self.resolve(
-            self.index
-                .search(query, top_k * 3, &SearchFilter::source(source)),
+            self.index.search(
+                query,
+                top_k.saturating_mul(3),
+                &SearchFilter::source(source),
+            ),
             top_k,
         )
     }
@@ -128,7 +126,7 @@ impl SearchIndex {
     pub fn search_field(&self, query: &str, field: &str, top_k: usize) -> Vec<ObjectHit> {
         self.resolve(
             self.index
-                .search(query, top_k * 3, &SearchFilter::field(field)),
+                .search(query, top_k.saturating_mul(3), &SearchFilter::field(field)),
             top_k,
         )
     }
@@ -278,6 +276,18 @@ mod tests {
         assert!(accessions.contains(&"1ABC"));
         // The keyword row of P10003 also mentions Kinase.
         assert!(accessions.contains(&"P10003"));
+        // A top_k whose candidate count (3 × top_k) overflows usize still
+        // returns every hit, in every partition.
+        let huge = usize::MAX / 3 + 1;
+        assert_eq!(engine.search("kinase", huge), hits);
+        assert_eq!(
+            engine.search_source("kinase", "structdb", huge),
+            engine.search_source("kinase", "structdb", 10)
+        );
+        assert_eq!(
+            engine.search_field("kinase", "protkb_kw.value", huge),
+            engine.search_field("kinase", "protkb_kw.value", 10)
+        );
     }
 
     #[test]

@@ -362,7 +362,7 @@ impl Warehouse {
     /// four neighbour kinds.
     pub fn view(&self, object: &ObjectRef) -> AladinResult<ObjectView> {
         let caches = self.caches()?;
-        object_view(&self.aladin, caches.adjacency.neighbours(object), object, 5)
+        object_view(&self.aladin, caches.adjacency.neighbours(object), object)
     }
 
     /// Objects reachable from a start object by following links up to
@@ -941,7 +941,7 @@ impl<'w> ObjectQuery<'w> {
     fn page(&self, hits: &[(ObjectRef, RecordOrigin)]) -> std::ops::Range<usize> {
         let start = self.spec.offset.min(hits.len());
         let end = match self.spec.limit {
-            Some(n) => (start + n).min(hits.len()),
+            Some(n) => start.saturating_add(n).min(hits.len()),
             None => hits.len(),
         };
         start..end
@@ -1275,11 +1275,13 @@ impl Iterator for ObjectCursor<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aladin_relstore::{ColumnDef, TableSchema};
 
-    fn warehouse() -> Warehouse {
+    /// Two small sources: three proteins (P10001 and P10002 with one DR
+    /// cross-reference row each) and three structures (1ABC, 2DEF, 3GHI).
+    pub(crate) fn warehouse() -> Warehouse {
         let config = AladinConfig {
             link_min_matches: 1,
             min_distinct_values: 2,
@@ -1463,8 +1465,14 @@ mod tests {
     fn offset_limit_and_cursor_pages_agree_with_fetch() {
         let w = warehouse();
         let all = w.scan().fetch().unwrap();
-        let second_page = w.scan().offset(2).limit(2).fetch().unwrap();
-        assert_eq!(second_page.as_slice(), &all[2..4]);
+        // The second input's `offset + limit` overflows usize: it pages like
+        // an unbounded limit.
+        for (offset, limit, expected) in [(2, 2, 2..4), (1, usize::MAX, 1..6)] {
+            let page = w.scan().offset(offset).limit(limit);
+            assert_eq!(page.fetch().unwrap().as_slice(), &all[expected.clone()]);
+            assert_eq!(page.count().unwrap(), expected.len());
+            assert_eq!(page.cursor(4).unwrap().len(), expected.len());
+        }
 
         let mut cursor = w.scan().cursor(4).unwrap();
         assert_eq!(cursor.len(), 6);

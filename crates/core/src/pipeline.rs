@@ -1070,13 +1070,6 @@ impl Aladin {
         Ok(Some(self.commit_staged(staged)))
     }
 
-    /// Wrap this pipeline in the unified access facade
-    /// ([`crate::access::Warehouse`]), the entry point for browsing,
-    /// searching and querying with cached access structures.
-    pub fn into_warehouse(self) -> crate::access::Warehouse {
-        crate::access::Warehouse::from_aladin(self)
-    }
-
     /// All primary objects of a source as object references.
     pub fn objects_of(&self, source: &str) -> AladinResult<Vec<ObjectRef>> {
         let db = self.database(source)?;

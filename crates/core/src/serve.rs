@@ -41,8 +41,9 @@
 //! ```no_run
 //! use aladin_core::access::QuerySpec;
 //! use aladin_core::pipeline::Aladin;
+//! use aladin_core::serve::{ServeConfig, Server};
 //! # fn main() -> Result<(), aladin_core::AladinError> {
-//! let server = Aladin::with_defaults().serve()?;
+//! let server = Server::start(Aladin::with_defaults(), ServeConfig::default())?;
 //! std::thread::scope(|s| {
 //!     for _ in 0..8 {
 //!         s.spawn(|| {
@@ -790,29 +791,6 @@ impl Server {
     }
 }
 
-impl Aladin {
-    /// Wrap this pipeline in a concurrent [`Server`] with the default
-    /// serving configuration: the `Send + Sync` handle for N reader threads
-    /// and one writer.
-    pub fn serve(self) -> AladinResult<Server> {
-        Server::start(self, ServeConfig::default())
-    }
-
-    /// Wrap this pipeline in a concurrent [`Server`] with an explicit
-    /// serving configuration.
-    pub fn serve_with(self, config: ServeConfig) -> AladinResult<Server> {
-        Server::start(self, config)
-    }
-}
-
-impl Warehouse {
-    /// Wrap this warehouse in a concurrent [`Server`] (see
-    /// [`Aladin::serve`]).
-    pub fn serve(self) -> AladinResult<Server> {
-        self.into_aladin().serve()
-    }
-}
-
 // The serving layer is only sound if everything it shares really is
 // thread-shareable; pin that at compile time (this is also the regression
 // guard for the `&self` read-path sweep — a `&mut` read path or a
@@ -894,7 +872,7 @@ mod tests {
         };
         let mut aladin = Aladin::new(config);
         aladin.add_database(protkb()).unwrap();
-        aladin.serve().unwrap()
+        Server::start(aladin, ServeConfig::default()).unwrap()
     }
 
     #[test]
@@ -1034,9 +1012,7 @@ mod tests {
         };
         let mut aladin = Aladin::new(config);
         aladin.add_database(protkb()).unwrap();
-        let server = aladin
-            .serve_with(ServeConfig::default().with_max_entries(2))
-            .unwrap();
+        let server = Server::start(aladin, ServeConfig::default().with_max_entries(2)).unwrap();
 
         let specs: Vec<QuerySpec> = (1..=3)
             .map(|i| QuerySpec::accession("protkb", format!("P1000{i}")))
@@ -1058,9 +1034,7 @@ mod tests {
         // A tiny byte budget rejects values outright and never serves hits.
         let mut aladin = Aladin::with_defaults();
         aladin.add_database(protkb()).unwrap();
-        let tiny = aladin
-            .serve_with(ServeConfig::default().with_cache_capacity(16))
-            .unwrap();
+        let tiny = Server::start(aladin, ServeConfig::default().with_cache_capacity(16)).unwrap();
         tiny.fetch(&specs[0]).unwrap();
         tiny.fetch(&specs[0]).unwrap();
         assert_eq!(tiny.metrics().cache_hits, 0);
@@ -1076,7 +1050,7 @@ mod tests {
         };
         let mut aladin = Aladin::new(config);
         aladin.add_database(protkb()).unwrap();
-        let server = aladin.serve_with(ServeConfig::uncached()).unwrap();
+        let server = Server::start(aladin, ServeConfig::uncached()).unwrap();
         let spec = QuerySpec::scan();
         let a = server.fetch(&spec).unwrap();
         let b = server.fetch(&spec).unwrap();
@@ -1104,6 +1078,20 @@ mod tests {
         let view = server.view(&object).unwrap();
         assert!(view.attributes.iter().any(|(c, _)| c == "de"));
         assert!(Arc::ptr_eq(&view, &server.view(&object).unwrap()));
+
+        // An `offset + limit` that overflows usize pages like the same
+        // LIMIT/OFFSET in SQL.
+        let paged = server
+            .fetch(&QuerySpec::scan().offset(1).limit(usize::MAX))
+            .unwrap();
+        let sql = server
+            .sql(
+                "protkb",
+                "SELECT ac FROM protkb_entry LIMIT 18446744073709551615 OFFSET 1",
+            )
+            .unwrap();
+        assert_eq!(paged.len(), sql.row_count());
+        assert_eq!(paged.len(), 2);
 
         // Errors pass through and are not cached.
         assert!(server

@@ -1,31 +1,17 @@
 //! # aladin-schema-match
 //!
-//! Schema-matching techniques used by ALADIN.
+//! Inclusion-dependency mining for ALADIN.
 //!
 //! The paper positions its link discovery as "closely related to schema
 //! matching, especially to those projects using instance-based techniques"
 //! (Section 4.4, citing the Rahm/Bernstein survey, iMAP, similarity flooding
-//! and Clio). This crate implements the three families ALADIN draws on:
-//!
-//! * [`ind`] — inclusion-dependency mining over attribute value sets, the
-//!   basis for guessing foreign keys inside a source (Section 4.2).
-//! * [`instance`] — instance-based attribute matching across sources (value
-//!   overlap and value-pattern similarity), the basis of cross-reference
-//!   discovery.
-//! * [`name`] — name-based attribute matching (string similarity of column
-//!   names), the classic schema-level baseline that ALADIN explicitly does
-//!   *not* depend on, included for comparison experiments.
-//! * [`flooding`] — a compact similarity-flooding style structural matcher
-//!   that propagates attribute similarity along the table graph.
+//! and Clio), but cites them only as related work. What the pipeline needs
+//! is [`ind`]: inclusion-dependency mining over attribute value sets, the
+//! basis for guessing foreign keys inside a source (Section 4.2, steps 2–3).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod flooding;
 pub mod ind;
-pub mod instance;
-pub mod name;
 
 pub use ind::{mine_inclusion_dependencies, Cardinality, InclusionDependency};
-pub use instance::{match_attributes, AttributeMatch};
-pub use name::{match_names, NameMatch};

@@ -15,15 +15,12 @@
 //!   description-field comparison and duplicate detection.
 //! * [`inverted`] — an inverted index with TF-IDF ranking backing the
 //!   full-text *search* access mode.
-//! * [`ner`] — dictionary- and pattern-based recognition of biological entity
-//!   names in free text, used for implicit link discovery.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod distance;
 pub mod inverted;
-pub mod ner;
 pub mod qgram;
 pub mod tfidf;
 pub mod tokenize;

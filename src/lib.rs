@@ -9,11 +9,10 @@
 //!
 //! * [`relstore`] — in-memory relational substrate (tables, catalog,
 //!   constraints, statistics, SQL).
-//! * [`textmine`] — string similarity, TF-IDF, inverted index, entity
-//!   recognition.
+//! * [`textmine`] — string similarity, TF-IDF, inverted index.
 //! * [`seq`] — sequence alphabets, Smith-Waterman, BLAST-like homology search.
 //! * [`import`] — flat-file / XML / tabular / FASTA importers.
-//! * [`schema_match`] — inclusion-dependency mining and schema matchers.
+//! * [`schema_match`] — inclusion-dependency mining.
 //! * [`core`] — the ALADIN system itself: five-step integration pipeline,
 //!   metadata repository, access engine, evaluation harness.
 //! * [`datagen`] — synthetic life-science corpora with ground truth.

@@ -27,10 +27,7 @@ fn corpus_server(seed: u64, config: ServeConfig) -> (Server, Corpus) {
             .add_source_files(&dump.name, dump.format, &dump.files)
             .unwrap_or_else(|e| panic!("failed to integrate {}: {e}", dump.name));
     }
-    let server = warehouse
-        .into_aladin()
-        .serve_with(config)
-        .expect("initial snapshot");
+    let server = Server::start(warehouse.into_aladin(), config).expect("initial snapshot");
     (server, corpus)
 }
 
