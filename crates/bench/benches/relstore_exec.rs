@@ -7,7 +7,8 @@
 //! `exp_relstore` runner that records the numbers in `BENCH_relstore.json`.
 
 use aladin_bench::relstore_workload::{build_db, shapes};
-use aladin_relstore::exec::{execute_naive, execute_optimized};
+use aladin_relstore::exec::{execute, execute_naive};
+use aladin_relstore::optimize::optimize;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -18,7 +19,7 @@ fn bench_relstore_exec(c: &mut Criterion) {
         // Warm the catalog's index/stats caches so the optimized numbers
         // reflect the steady serving state, not the one-off build.
         for (_, plan) in &shaped {
-            execute_optimized(&db, plan).unwrap();
+            execute(&db, &optimize(&db, plan)).unwrap();
         }
 
         let mut group = c.benchmark_group("naive");
@@ -38,7 +39,7 @@ fn bench_relstore_exec(c: &mut Criterion) {
             .measurement_time(Duration::from_secs(2));
         for (name, plan) in &shaped {
             group.bench_with_input(BenchmarkId::new(*name, rows), plan, |b, plan| {
-                b.iter(|| execute_optimized(&db, plan).unwrap())
+                b.iter(|| execute(&db, &optimize(&db, plan)).unwrap())
             });
         }
         group.finish();

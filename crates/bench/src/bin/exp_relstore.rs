@@ -13,7 +13,8 @@ use aladin_bench::relstore_workload::{build_db, shapes};
 use aladin_core::access::{AttrFilter, Warehouse};
 use aladin_core::AladinConfig;
 use aladin_relstore::analyze::analyze;
-use aladin_relstore::exec::{execute_naive, execute_optimized};
+use aladin_relstore::exec::{execute, execute_naive};
+use aladin_relstore::optimize::optimize;
 use aladin_relstore::{ColumnDef, Database, Expr, LogicalPlan, TableSchema, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,7 +75,7 @@ fn main() {
         let shaped = shapes(rows);
         // Warm index/stats caches so optimized numbers reflect steady state.
         for (_, plan) in &shaped {
-            execute_optimized(&db, plan).unwrap();
+            execute(&db, &optimize(&db, plan)).unwrap();
         }
         let _ = writeln!(json, "    \"{rows}\": {{");
         for (shape_idx, (name, plan)) in shaped.iter().enumerate() {
@@ -83,7 +84,7 @@ fn main() {
                 execute_naive(&db, plan).unwrap();
             });
             let optimized = median_us(200, || {
-                execute_optimized(&db, plan).unwrap();
+                execute(&db, &optimize(&db, plan)).unwrap();
             });
             let analyzed = median_us(200, || {
                 assert!(analyze(&db, plan).is_clean());
@@ -127,13 +128,15 @@ fn main() {
             .and(Expr::col("score").eq(Expr::lit(Value::float(0.75)))),
     );
     assert!(analyze(&db, &contradiction).proven_empty());
-    execute_optimized(&db, &contradiction).unwrap(); // warm stats
+    execute(&db, &optimize(&db, &contradiction)).unwrap(); // warm stats
     let unpruned = median_us(9, || {
         assert_eq!(execute_naive(&db, &contradiction).unwrap().row_count(), 0);
     });
     let pruned = median_us(200, || {
         assert_eq!(
-            execute_optimized(&db, &contradiction).unwrap().row_count(),
+            execute(&db, &optimize(&db, &contradiction))
+                .unwrap()
+                .row_count(),
             0
         );
     });

@@ -413,12 +413,13 @@ impl Warehouse {
         build_join_path_plan(&self.aladin, source, secondary_table)
     }
 
-    /// Execute the path-guided join for a source and secondary table through
-    /// the optimizer and the streaming executor.
+    /// Execute the path-guided join for a source and secondary table like a
+    /// SQL `SELECT`: statically analyzed, then through the optimizer and the
+    /// streaming executor ([`aladin_relstore::exec::execute_checked`]).
     pub fn join_path(&self, source: &str, secondary_table: &str) -> AladinResult<Table> {
         let db = self.aladin.database(source)?;
         let plan = self.join_path_plan(source, secondary_table)?;
-        Ok(aladin_relstore::exec::execute_optimized(db, &plan)?)
+        Ok(aladin_relstore::exec::execute_checked(db, &plan)?)
     }
 
     /// Cross-source object query over the cached adjacency: pairs of linked
@@ -737,7 +738,7 @@ impl QuerySpec {
 
     /// A stable 64-bit fingerprint of the spec (FNV-1a over the canonical
     /// structural rendering, kind-prefixed so spec keys can never collide
-    /// with the serving layer's SQL or plan keys). Two specs fingerprint
+    /// with the serving layer's other keys). Two specs fingerprint
     /// equal exactly when they compare equal.
     pub fn fingerprint(&self) -> u64 {
         fingerprint_bytes(format!("query:{self:?}").as_bytes())

@@ -1,5 +1,5 @@
 //! The concurrent serving layer: MVCC snapshot reads over the warehouse,
-//! plus a bounded, generation-invalidated query-result and plan cache.
+//! plus a bounded, generation-invalidated query-result cache.
 //!
 //! The paper's warehouse must "plan for change": sources are re-integrated
 //! continuously, yet the whole point of materialized integration is fast,
@@ -22,18 +22,18 @@
 //!   ([`Server::fetch`], [`Server::sql`], [`Server::search`],
 //!   [`Server::view`], [`Server::join_path`]) consult a bounded LRU cache
 //!   keyed on `(generation, normalized fingerprint)` — [`QuerySpec`]
-//!   fingerprints for object queries, optimized-plan fingerprints for SQL —
-//!   with a byte budget ([`ServeConfig`]). Publishing a new snapshot purges
+//!   fingerprints for object queries, parsed-plan fingerprints for SQL —
+//!   with a byte budget ([`ServeConfig`]). Every read does one lookup and
+//!   stores at most one entry, its result. Publishing a new snapshot purges
 //!   every entry of older generations, so a cached result can never be
 //!   served across a version boundary. Hit/miss/eviction counters surface
 //!   through [`ServeMetrics`] ([`Server::metrics`]), mirroring
 //!   [`crate::metadata::PipelineMetrics`] for the integration side.
-//! * **Invalid queries are refused before execution.** On a result-cache
-//!   miss, [`Server::fetch`] and [`Server::sql`] run the static analyzer
+//! * **Invalid queries are refused before execution.** On a cache miss,
+//!   [`Server::fetch`] and [`Server::sql`] run the static analyzer
 //!   ([`aladin_relstore::analyze`]) over the compiled plan and reject
-//!   queries with error diagnostics. Verdicts are cached per fingerprint in
-//!   a side table, so a hammered invalid query costs one analysis per
-//!   generation and never occupies result-cache space.
+//!   queries with error diagnostics. A refusal is an error, and errors are
+//!   never cached.
 //!
 //! [`Server`] is `Send + Sync` (compile-time asserted): share one instance
 //! across N reader threads while a writer integrates.
@@ -60,11 +60,14 @@ use crate::config::AladinConfig;
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::ObjectRef;
 use crate::pipeline::{Aladin, IntegrationReport, PipelineRecovery};
+use aladin_relstore::exec::execute_checked;
 use aladin_relstore::plan::fingerprint_bytes;
 use aladin_relstore::sql::Statement;
-use aladin_relstore::{persist, Database, LogicalPlan, RelError, Table};
+use aladin_relstore::{persist, Database, RelError, Table};
 use serde::Serialize;
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Debug;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -73,7 +76,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs of the serving layer's query-result + plan cache.
+/// Tuning knobs of the serving layer's query-result cache.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ServeConfig {
     /// Byte budget of the cache (approximate, measured on the canonical
@@ -194,33 +197,9 @@ fn build_snapshot(master: &Aladin) -> AladinResult<Snapshot> {
 /// kind-prefixed FNV-1a fingerprint of the normalized query.
 type CacheKey = (u64, u64);
 
-/// The cacheable result shapes of the serving APIs, all behind [`Arc`] so a
-/// hit is a pointer bump.
-#[derive(Clone)]
-enum CachedValue {
-    Records(Arc<Vec<ObjectRecord>>),
-    Table(Arc<Table>),
-    Hits(Arc<Vec<ObjectHit>>),
-    View(Arc<ObjectView>),
-    Plan(Arc<LogicalPlan>),
-}
-
-impl CachedValue {
-    /// Approximate heap footprint, charged against the byte budget: the
-    /// length of the canonical `Debug` rendering plus a fixed overhead. An
-    /// approximation (renders once at insert time), but monotone in the real
-    /// size and cheap enough for serving-cache insert rates.
-    fn approx_bytes(&self) -> usize {
-        let rendered = match self {
-            CachedValue::Records(v) => format!("{v:?}").len(),
-            CachedValue::Table(v) => format!("{v:?}").len(),
-            CachedValue::Hits(v) => format!("{v:?}").len(),
-            CachedValue::View(v) => format!("{v:?}").len(),
-            CachedValue::Plan(v) => format!("{v:?}").len(),
-        };
-        rendered + 64
-    }
-}
+/// A cached result: whatever a serving API returns, behind an [`Arc`] so a
+/// hit is a pointer bump. [`Server::read`] downcasts it back to its type.
+type CachedValue = Arc<dyn Any + Send + Sync>;
 
 struct CacheEntry {
     value: CachedValue,
@@ -295,11 +274,15 @@ impl QueryCache {
         }
     }
 
-    fn store(&self, key: CacheKey, value: CachedValue) {
+    /// Cache `value`, charging the byte budget with the length of its
+    /// canonical `Debug` rendering plus a fixed overhead. An approximation
+    /// (rendered once at insert time), but monotone in the real size and
+    /// cheap enough for serving-cache insert rates.
+    fn store<T: Debug + Send + Sync + 'static>(&self, key: CacheKey, value: Arc<T>) {
         if !self.enabled() {
             return;
         }
-        let bytes = value.approx_bytes();
+        let bytes = format!("{value:?}").len() + 64;
         if bytes > self.capacity_bytes {
             // Larger than the whole budget: caching it would evict
             // everything and still not fit.
@@ -344,58 +327,6 @@ impl QueryCache {
             state.recency.remove(&tick);
             state.bytes -= bytes;
         }
-    }
-}
-
-/// The message stored in the [`AnalysisCache`] for a refused query: the
-/// inner text of [`RelError::Analysis`], re-wrapped on every refusal so the
-/// cached form stays a plain string.
-fn rejection_message(e: RelError) -> String {
-    match e {
-        RelError::Analysis(m) => m,
-        other => other.to_string(),
-    }
-}
-
-/// Static-analysis verdicts ([`aladin_relstore::analyze`]) keyed like the
-/// result cache: `(generation, query fingerprint)`. `None` means the query
-/// analyzed clean on that generation; `Some(message)` is the rendered
-/// analysis error a repeated invalid query is refused with — without
-/// re-running the analyzer, and before it can ever touch the result cache.
-///
-/// Kept separate from the byte-budgeted LRU on purpose: verdicts are tiny
-/// (at most one rendered diagnostic), must not evict real results, and their
-/// bookkeeping must not perturb the serving-cache hit/miss/eviction metrics.
-/// Entries of older generations are purged at publish time, like the LRU.
-struct AnalysisCache {
-    verdicts: Mutex<HashMap<CacheKey, Option<String>>>,
-}
-
-impl AnalysisCache {
-    fn new() -> AnalysisCache {
-        AnalysisCache {
-            verdicts: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Verdicts are plain strings and every insert completes under the
-    /// guard, so a poisoned mutex is recoverable by taking the state as-is.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Option<String>>> {
-        self.verdicts.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// `None` = never analyzed on this generation; `Some(None)` = analyzed
-    /// clean; `Some(Some(m))` = refused with message `m`.
-    fn lookup(&self, key: CacheKey) -> Option<Option<String>> {
-        self.lock().get(&key).cloned()
-    }
-
-    fn store(&self, key: CacheKey, verdict: Option<String>) {
-        self.lock().insert(key, verdict);
-    }
-
-    fn retain_generation(&self, generation: u64) {
-        self.lock().retain(|(g, _), _| *g == generation);
     }
 }
 
@@ -446,10 +377,6 @@ pub struct Server {
     /// readers clone the `Arc` under a momentary read lock.
     current: RwLock<Snapshot>,
     cache: QueryCache,
-    /// Static-analysis verdicts, consulted on the result-miss path so an
-    /// invalid query is refused before execution and before the result
-    /// cache.
-    analysis: AnalysisCache,
     config: ServeConfig,
     snapshots_published: AtomicU64,
     queries_served: AtomicU64,
@@ -477,7 +404,6 @@ impl Server {
             master: Mutex::new(aladin),
             current: RwLock::new(snapshot),
             cache: QueryCache::new(&config),
-            analysis: AnalysisCache::new(),
             config,
             snapshots_published: AtomicU64::new(1),
             queries_served: AtomicU64::new(0),
@@ -580,7 +506,6 @@ impl Server {
         Self::publish_marker(master, generation)?;
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = snapshot;
         self.cache.retain_generation(generation);
-        self.analysis.retain_generation(generation);
         self.snapshots_published.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -627,167 +552,97 @@ impl Server {
 
     // -- reader side --------------------------------------------------------
 
+    /// The one read path behind every query API: count the call, pin the
+    /// current snapshot, and serve `(generation, key)` from the cache — or
+    /// run `miss` on the snapshot's warehouse and cache its result. A `None`
+    /// key is served uncached; errors are never cached.
+    fn read<T: Debug + Send + Sync + 'static>(
+        &self,
+        key: Option<u64>,
+        miss: impl FnOnce(&Warehouse) -> AladinResult<T>,
+    ) -> AladinResult<Arc<T>> {
+        self.queries_served.fetch_add(1, Ordering::Relaxed);
+        let snapshot = self.snapshot();
+        let key = key.map(|k| (snapshot.generation, k));
+        if let Some(hit) = key
+            .and_then(|k| self.cache.lookup(k))
+            .and_then(|v| v.downcast().ok())
+        {
+            return Ok(hit);
+        }
+        let value = Arc::new(miss(&snapshot.warehouse)?);
+        if let Some(key) = key {
+            self.cache.store(key, Arc::clone(&value));
+        }
+        Ok(value)
+    }
+
     /// Execute an object query against the current snapshot, serving a
     /// cached result when the same normalized spec already ran on this
     /// generation.
     ///
-    /// On a result-cache miss, the spec is statically analyzed first
+    /// On a cache miss, the spec is statically analyzed first
     /// ([`crate::access::ObjectQuery::analyze`]) and refused on error
-    /// diagnostics — the verdict is cached per spec fingerprint, so a
-    /// repeated invalid query is rejected without re-analysis and never
-    /// occupies result-cache space. Specs outside the relational subset
-    /// (search roots, link traversals) do not compile to a plan; they skip
-    /// the gate and execute directly.
+    /// diagnostics, so an invalid query never occupies cache space. Specs
+    /// outside the relational subset (search roots, link traversals) do not
+    /// compile to a plan; they skip the gate and execute directly.
     pub fn fetch(&self, spec: &QuerySpec) -> AladinResult<Arc<Vec<ObjectRecord>>> {
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.snapshot();
-        let key = (snapshot.generation, spec.fingerprint());
-        if let Some(CachedValue::Records(cached)) = self.cache.lookup(key) {
-            return Ok(cached);
-        }
-        let query = snapshot.warehouse.query(spec.clone());
-        let verdict = match self.analysis.lookup(key) {
-            Some(v) => v,
-            None => {
-                let v = match query.analyze() {
-                    Ok(analysis) => analysis.to_error().map(rejection_message),
-                    // Not relational (search root, link traversal): nothing
-                    // to analyze statically.
-                    Err(_) => None,
-                };
-                self.analysis.store(key, v.clone());
-                v
+        self.read(Some(spec.fingerprint()), |w| {
+            let query = w.query(spec.clone());
+            // Not relational (search root, link traversal): nothing to
+            // analyze statically.
+            if let Some(refusal) = query.analyze().ok().and_then(|a| a.to_error()) {
+                return Err(refusal.into());
             }
-        };
-        if let Some(message) = verdict {
-            return Err(AladinError::Storage(RelError::Analysis(message)));
-        }
-        let records = Arc::new(query.fetch()?);
-        self.cache
-            .store(key, CachedValue::Records(Arc::clone(&records)));
-        Ok(records)
+            query.fetch()
+        })
     }
 
     /// Ranked keyword search over the current snapshot, cached per
     /// generation.
     pub fn search(&self, query: &str, top_k: usize) -> AladinResult<Arc<Vec<ObjectHit>>> {
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.snapshot();
-        let key = (
-            snapshot.generation,
-            fingerprint_bytes(format!("search:{top_k}:{query}").as_bytes()),
-        );
-        if let Some(CachedValue::Hits(cached)) = self.cache.lookup(key) {
-            return Ok(cached);
-        }
-        let hits = Arc::new(snapshot.warehouse.search_hits(query, top_k)?);
-        self.cache.store(key, CachedValue::Hits(Arc::clone(&hits)));
-        Ok(hits)
+        let key = fingerprint_bytes(format!("search:{top_k}:{query}").as_bytes());
+        self.read(Some(key), |w| w.search_hits(query, top_k))
     }
 
     /// The browsable view of one object on the current snapshot, cached per
     /// generation.
     pub fn view(&self, object: &ObjectRef) -> AladinResult<Arc<ObjectView>> {
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.snapshot();
-        let key = (
-            snapshot.generation,
-            fingerprint_bytes(
-                format!(
-                    "view:{}:{}:{}",
-                    object.source, object.table, object.accession
-                )
-                .as_bytes(),
-            ),
-        );
-        if let Some(CachedValue::View(cached)) = self.cache.lookup(key) {
-            return Ok(cached);
-        }
-        let view = Arc::new(snapshot.warehouse.view(object)?);
-        self.cache.store(key, CachedValue::View(Arc::clone(&view)));
-        Ok(view)
+        // `Debug` quotes and escapes every part, so names containing `:`
+        // (accessions such as `GO:0001`) cannot run into each other.
+        let (source, table, accession) = (&object.source, &object.table, &object.accession);
+        let key = fingerprint_bytes(format!("view:{source:?}:{table:?}:{accession:?}").as_bytes());
+        self.read(Some(key), |w| w.view(object))
     }
 
     /// Run a SQL query against one source on the current snapshot. `SELECT`
-    /// statements are normalized through the parsed plan's structural
-    /// fingerprint — texts differing only in keyword case or whitespace
-    /// share one cache entry — and the optimized plan is cached too, so
-    /// it survives eviction of the (larger) result entry. `EXPLAIN` is
-    /// served uncached.
-    ///
-    /// On a result-cache miss, the plan is statically analyzed first
-    /// ([`aladin_relstore::analyze`]) and refused on error diagnostics; the
-    /// verdict is cached per normalized fingerprint, so a repeated invalid
-    /// query is rejected before the optimizer, the executor, and the result
-    /// cache.
+    /// statements are keyed on the parsed plan's structural fingerprint —
+    /// texts differing only in keyword case or whitespace share one cache
+    /// entry — and on a miss run through
+    /// [`aladin_relstore::exec::execute_checked`], as [`Warehouse::sql`]
+    /// does: statically analyzed and refused on error diagnostics, then
+    /// optimized and executed. `EXPLAIN` is served uncached.
     pub fn sql(&self, source: &str, query: &str) -> AladinResult<Arc<Table>> {
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.snapshot();
-        let statement = aladin_relstore::sql::parse_statement(query)?;
-        let plan = match statement {
-            Statement::Select(plan) => plan,
-            Statement::Explain(_) => {
-                // Diagnostic output: cheap to derive, not worth cache space.
-                return Ok(Arc::new(snapshot.warehouse.sql(source, query)?));
-            }
+        let statement = aladin_relstore::sql::parse_statement(query);
+        let key = match &statement {
+            Ok(Statement::Select(plan)) => Some(fingerprint_bytes(
+                format!("sql:{source}:{:016x}", plan.fingerprint()).as_bytes(),
+            )),
+            // EXPLAIN is diagnostic output, cheap to derive and not worth
+            // cache space; a parse error is returned as is.
+            _ => None,
         };
-        let db = snapshot.warehouse.database(source)?;
-        let normalized = plan.fingerprint();
-        let result_key = (
-            snapshot.generation,
-            fingerprint_bytes(format!("sql:{source}:{normalized:016x}").as_bytes()),
-        );
-        if let Some(CachedValue::Table(cached)) = self.cache.lookup(result_key) {
-            return Ok(cached);
-        }
-        let verdict = match self.analysis.lookup(result_key) {
-            Some(v) => v,
-            None => {
-                let v = aladin_relstore::analyze::analyze(db, &plan)
-                    .to_error()
-                    .map(rejection_message);
-                self.analysis.store(result_key, v.clone());
-                v
-            }
-        };
-        if let Some(message) = verdict {
-            return Err(AladinError::Storage(RelError::Analysis(message)));
-        }
-        let plan_key = (
-            snapshot.generation,
-            fingerprint_bytes(format!("plan:{source}:{normalized:016x}").as_bytes()),
-        );
-        let optimized = match self.cache.lookup(plan_key) {
-            Some(CachedValue::Plan(cached)) => cached,
-            _ => {
-                let optimized = Arc::new(aladin_relstore::optimize::optimize(db, &plan));
-                self.cache
-                    .store(plan_key, CachedValue::Plan(Arc::clone(&optimized)));
-                optimized
-            }
-        };
-        let table = Arc::new(aladin_relstore::exec::execute(db, &optimized)?);
-        self.cache
-            .store(result_key, CachedValue::Table(Arc::clone(&table)));
-        Ok(table)
+        self.read(key, |w| match statement? {
+            Statement::Select(plan) => Ok(execute_checked(w.database(source)?, &plan)?),
+            Statement::Explain(_) => w.sql(source, query),
+        })
     }
 
     /// The path-guided join of a source's primary relation to a secondary
     /// table, on the current snapshot, cached per generation.
     pub fn join_path(&self, source: &str, secondary_table: &str) -> AladinResult<Arc<Table>> {
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.snapshot();
-        let key = (
-            snapshot.generation,
-            fingerprint_bytes(format!("join:{source}:{secondary_table}").as_bytes()),
-        );
-        if let Some(CachedValue::Table(cached)) = self.cache.lookup(key) {
-            return Ok(cached);
-        }
-        let table = Arc::new(snapshot.warehouse.join_path(source, secondary_table)?);
-        self.cache
-            .store(key, CachedValue::Table(Arc::clone(&table)));
-        Ok(table)
+        let key = fingerprint_bytes(format!("join:{source:?}:{secondary_table:?}").as_bytes());
+        self.read(Some(key), |w| w.join_path(source, secondary_table))
     }
 }
 
@@ -865,13 +720,17 @@ mod tests {
     }
 
     fn server() -> Server {
+        server_over(protkb())
+    }
+
+    fn server_over(db: Database) -> Server {
         let config = AladinConfig {
             link_min_matches: 1,
             min_distinct_values: 2,
             ..Default::default()
         };
         let mut aladin = Aladin::new(config);
-        aladin.add_database(protkb()).unwrap();
+        aladin.add_database(db).unwrap();
         Server::start(aladin, ServeConfig::default()).unwrap()
     }
 
@@ -916,9 +775,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.row_count(), 2);
         let m = server.metrics();
-        // First call: result miss + plan miss; second: result hit.
+        // First call: one miss storing one entry, the result; second: a hit.
         assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.cache_misses, 2);
+        assert_eq!(m.cache_misses, 1);
+        assert_eq!(m.cache_entries, 1);
 
         // EXPLAIN is served uncached.
         let e = server
@@ -935,8 +795,8 @@ mod tests {
         let err = server.sql("protkb", bad).unwrap_err().to_string();
         assert!(err.contains("error[E102]"), "{err}");
         assert!(err.contains("did you mean 'ac'?"), "{err}");
-        // The refusal is cached: the repeat is rejected with the same
-        // message, and neither attempt occupied result-cache space.
+        // The repeat is analyzed again and rejected with the same message,
+        // and neither attempt occupied cache space.
         let again = server.sql("protkb", bad).unwrap_err().to_string();
         assert_eq!(err, again);
         assert_eq!(server.metrics().cache_entries, 0);
@@ -945,8 +805,8 @@ mod tests {
         let ok = server.sql("protkb", "SELECT ac FROM protkb_entry").unwrap();
         assert_eq!(ok.row_count(), 3);
 
-        // Verdicts are per generation: publishing re-analyzes (the column is
-        // still unknown, so the query is refused again, on fresh state).
+        // On the next generation the column is still unknown, so the query
+        // is refused again.
         server.add_database(structdb()).unwrap();
         let err = server.sql("protkb", bad).unwrap_err().to_string();
         assert!(err.contains("error[E102]"), "{err}");
@@ -961,10 +821,11 @@ mod tests {
         let err = server.fetch(&bad).unwrap_err().to_string();
         assert!(err.contains("error[E102]"), "{err}");
         assert!(err.contains("'descr'"), "{err}");
-        // Cached verdict: the repeat is refused identically, and no result
-        // was ever cached for the invalid spec.
+        // The repeat is refused identically, and no result was ever cached
+        // for the invalid spec.
         let again = server.fetch(&bad).unwrap_err().to_string();
         assert_eq!(err, again);
+        assert_eq!(server.metrics().cache_entries, 0);
 
         // Search roots are not relational plans — they bypass analysis and
         // keep working.
@@ -1100,6 +961,84 @@ mod tests {
         assert!(server
             .sql("protkb", "SELECT nonsense FROM nowhere")
             .is_err());
+    }
+
+    /// A source whose accessions carry colons (`GO:0001`), beside a
+    /// secondary table whose name carries one too.
+    fn goterms() -> Database {
+        let mut db = Database::new("goterms");
+        db.create_table(
+            "terms",
+            TableSchema::of(vec![
+                ColumnDef::int("term_id"),
+                ColumnDef::text("accession"),
+                ColumnDef::text("name"),
+            ]),
+        )
+        .unwrap();
+        db.create_table(
+            "term:syn",
+            TableSchema::of(vec![
+                ColumnDef::int("syn_id"),
+                ColumnDef::int("term_id"),
+                ColumnDef::text("synonym"),
+            ]),
+        )
+        .unwrap();
+        for (id, name) in [
+            (1, "kinase activity"),
+            (2, "sugar transport"),
+            (3, "rRNA binding"),
+        ] {
+            db.insert(
+                "terms",
+                vec![
+                    Value::Int(id),
+                    Value::text(format!("GO:000{id}")),
+                    Value::text(name),
+                ],
+            )
+            .unwrap();
+        }
+        for (id, term, synonym) in [
+            (10, 1, "protein kinase"),
+            (11, 1, "phosphotransferase activity"),
+            (12, 2, "sugar import"),
+            (13, 3, "ribosomal RNA binding"),
+        ] {
+            db.insert(
+                "term:syn",
+                vec![Value::Int(id), Value::Int(term), Value::text(synonym)],
+            )
+            .unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn keys_keep_names_containing_colons_apart() {
+        let server = server_over(goterms());
+        let snapshot = server.snapshot();
+        let warehouse = snapshot.warehouse();
+
+        // Joined with `:`, the parts of each second read spell the same
+        // text as those of the cached first read; it must still be answered
+        // as the warehouse answers it.
+        let term = ObjectRef::new("goterms", "terms", "GO:0001");
+        assert_eq!(*server.view(&term).unwrap(), warehouse.view(&term).unwrap());
+        let lookalike = ObjectRef::new("goterms", "terms:GO", "0001");
+        assert_eq!(
+            server.view(&lookalike).unwrap_err().to_string(),
+            warehouse.view(&lookalike).unwrap_err().to_string()
+        );
+
+        let joined = server.join_path("goterms", "term:syn").unwrap();
+        assert_eq!(joined.row_count(), 4);
+        let (source, table) = ("goterms:term", "syn");
+        assert_eq!(
+            server.join_path(source, table).unwrap_err().to_string(),
+            warehouse.join_path(source, table).unwrap_err().to_string()
+        );
     }
 
     #[test]

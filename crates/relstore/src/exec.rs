@@ -4,10 +4,12 @@
 //! pull-based operator tree ([`crate::stream`]) and materializes only the
 //! rows that reach the terminal sink, so `Limit`/`Offset` short-circuit
 //! upstream work, `Scan` never clones its table, and `Sort`+`Limit` fuses
-//! into a bounded top-k. [`execute_optimized`] additionally runs the plan
-//! through the rule-based optimizer ([`crate::optimize`]) first — predicate
-//! pushdown, index-scan rewriting, join build-side selection — and is what
-//! the serving paths use.
+//! into a bounded top-k. It runs the plan exactly as given.
+//! [`execute_checked`] is what the serving paths use: it runs the static
+//! analyzer ([`crate::analyze`]) and refuses plans with error diagnostics,
+//! then rewrites the plan with the rule-based optimizer
+//! ([`crate::optimize`]) — predicate pushdown, index-scan rewriting, join
+//! build-side selection — and streams the result through [`execute`].
 //!
 //! [`execute_naive`] is the original materialize-everything evaluator (every
 //! operator consumes a whole [`Table`] and produces one). It is kept as the
@@ -40,12 +42,6 @@ pub fn execute(db: &Database, plan: &LogicalPlan) -> RelResult<Table> {
     Ok(out)
 }
 
-/// Optimize a plan with the rule-based optimizer, then execute it with the
-/// streaming executor. This is the path the warehouse serving layer uses.
-pub fn execute_optimized(db: &Database, plan: &LogicalPlan) -> RelResult<Table> {
-    execute(db, &optimize(db, plan))
-}
-
 /// Strict execution: run the static analyzer ([`crate::analyze`]) first and
 /// refuse plans with error-severity diagnostics (returning
 /// [`RelError::Analysis`]), then optimize and execute. SQL entry points use
@@ -55,7 +51,7 @@ pub fn execute_checked(db: &Database, plan: &LogicalPlan) -> RelResult<Table> {
     if let Some(err) = crate::analyze::analyze(db, plan).to_error() {
         return Err(err);
     }
-    execute_optimized(db, plan)
+    execute(db, &optimize(db, plan))
 }
 
 /// The name the materialized result table carries, mirroring the naive
@@ -132,7 +128,7 @@ pub(crate) fn aggregate_schema(
 /// Execute a logical plan with the original materializing evaluator: every
 /// operator consumes a fully materialized [`Table`] and produces one. Kept as
 /// the reference implementation for property tests and benches; serving code
-/// should call [`execute`] or [`execute_optimized`].
+/// should call [`execute_checked`].
 pub fn execute_naive(db: &Database, plan: &LogicalPlan) -> RelResult<Table> {
     match plan {
         LogicalPlan::Scan { table } => {

@@ -4,7 +4,7 @@
 //! analyze clean) and proven-empty pruning equivalence checks.
 
 use aladin_relstore::analyze::{analyze, LARGE_INPUT_ROWS};
-use aladin_relstore::exec::{execute_naive, execute_optimized};
+use aladin_relstore::exec::{execute, execute_naive};
 use aladin_relstore::optimize::optimize;
 use aladin_relstore::{sql, ColumnDef, Database, LogicalPlan, TableSchema, Value};
 
@@ -219,7 +219,7 @@ fn proven_empty_pruning_is_equivalent() {
 
         let reference = execute_naive(&db, &plan).unwrap();
         let optimized_plan = optimize(&db, &plan);
-        let optimized = execute_optimized(&db, &plan).unwrap();
+        let optimized = execute(&db, &optimized_plan).unwrap();
         assert_eq!(reference.row_count(), 0, "{q}");
         assert_eq!(optimized.row_count(), 0, "{q}");
         assert_eq!(
@@ -246,5 +246,5 @@ fn ill_typed_contradictions_still_error() {
             .and(aladin_relstore::Expr::col("missing").eq(aladin_relstore::Expr::lit(2i64))),
     );
     assert!(execute_naive(&db, &plan).is_err());
-    assert!(execute_optimized(&db, &plan).is_err());
+    assert!(execute(&db, &optimize(&db, &plan)).is_err());
 }

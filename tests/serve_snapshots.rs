@@ -5,6 +5,7 @@
 //! cached results are byte-identical to uncached execution on the same
 //! snapshot.
 
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
@@ -218,6 +219,46 @@ fn cached_results_are_byte_identical_to_uncached_across_modes() {
     let hits_direct = snapshot.warehouse().search_hits("kinase", 10).unwrap();
     assert_eq!(format!("{hits_cached:?}"), format!("{hits_direct:?}"));
 
+    // The other read APIs, each asked twice: once on a miss, then from the
+    // cache. A SELECT's keyword-case/whitespace variant is its cache hit.
+    let warehouse = snapshot.warehouse();
+    let structure = warehouse.metadata().structure(&source).unwrap();
+    let primary = &structure.primary_relations[0];
+    let (table, column) = (&primary.table, &primary.accession_column);
+    let select = format!("SELECT * FROM {table} ORDER BY {column} LIMIT 5");
+    let variant = format!("select *  from {table}\n  order by {column} limit 5");
+    assert_served_as_direct(
+        server.sql(&source, &select).unwrap(),
+        server.sql(&source, &variant).unwrap(),
+        warehouse.sql(&source, &select).unwrap(),
+    );
+
+    let object = &warehouse.aladin().objects_of(&source).unwrap()[0];
+    assert_served_as_direct(
+        server.view(object).unwrap(),
+        server.view(object).unwrap(),
+        warehouse.view(object).unwrap(),
+    );
+
+    let secondary = structure
+        .secondary_relations
+        .iter()
+        .find(|s| !s.path.is_empty())
+        .expect("a secondary table on a path");
+    assert_served_as_direct(
+        server.join_path(&source, &secondary.table).unwrap(),
+        server.join_path(&source, &secondary.table).unwrap(),
+        warehouse.join_path(&source, &secondary.table).unwrap(),
+    );
+
     let metrics = server.metrics();
-    assert!(metrics.cache_hits >= query_pool(&source).len() as u64);
+    assert!(metrics.cache_hits >= query_pool(&source).len() as u64 + 3);
+}
+
+/// The first (cache miss) and second (cache hit) answers of the server must
+/// both render byte-identically to direct execution on the pinned snapshot.
+fn assert_served_as_direct(first: impl Debug, second: impl Debug, direct: impl Debug) {
+    let direct = format!("{direct:?}");
+    assert_eq!(format!("{first:?}"), direct);
+    assert_eq!(format!("{second:?}"), direct);
 }
