@@ -11,7 +11,7 @@
 use aladin_bench::print_table;
 use aladin_bench::relstore_workload::{build_db, shapes};
 use aladin_core::access::{AttrFilter, Warehouse};
-use aladin_core::AladinConfig;
+use aladin_core::{Aladin, AladinConfig};
 use aladin_relstore::analyze::analyze;
 use aladin_relstore::exec::{execute, execute_naive};
 use aladin_relstore::optimize::optimize;
@@ -54,8 +54,9 @@ fn warehouse_with_rows(rows: usize) -> Warehouse {
         )
         .unwrap();
     }
-    let mut warehouse = Warehouse::new(AladinConfig::default());
-    warehouse.add_database(db).unwrap();
+    let mut aladin = Aladin::new(AladinConfig::default());
+    aladin.add_database(db).unwrap();
+    let warehouse = Warehouse::from_aladin(aladin);
     warehouse.warm().unwrap();
     warehouse
 }

@@ -8,7 +8,7 @@
 //! link adjacency; this module holds the routines it runs.
 
 use crate::error::{AladinError, AladinResult};
-use crate::metadata::{LinkAdjacency, LinkKind, Neighbour, ObjectRef};
+use crate::metadata::{LinkKind, Neighbour, ObjectRef};
 use crate::pipeline::Aladin;
 use crate::secondary::owner_accessions;
 use serde::{Deserialize, Serialize};
@@ -274,35 +274,6 @@ pub(crate) fn object_view(
         duplicates,
         linked,
     })
-}
-
-/// Follow links transitively from a start object up to the given depth over a
-/// prebuilt adjacency, returning the reachable objects (breadth-first,
-/// excluding the start). This is the "web of biological objects" traversal of
-/// the introduction.
-pub(crate) fn reachable_from(
-    adjacency: &LinkAdjacency,
-    start: &ObjectRef,
-    depth: usize,
-) -> Vec<ObjectRef> {
-    use std::collections::{HashSet, VecDeque};
-    let mut seen: HashSet<ObjectRef> = HashSet::new();
-    let mut queue: VecDeque<(ObjectRef, usize)> = VecDeque::new();
-    seen.insert(start.clone());
-    queue.push_back((start.clone(), 0));
-    let mut out = Vec::new();
-    while let Some((current, d)) = queue.pop_front() {
-        if d >= depth {
-            continue;
-        }
-        for n in adjacency.neighbours(&current) {
-            if seen.insert(n.object.clone()) {
-                out.push(n.object.clone());
-                queue.push_back((n.object.clone(), d + 1));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

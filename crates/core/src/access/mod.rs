@@ -3,10 +3,12 @@
 //!
 //! # The [`Warehouse`] facade
 //!
-//! All read access goes through [`Warehouse`], which owns the integration
-//! pipeline plus lazily-built, automatically-invalidated caches (search
-//! index, link-adjacency map, accession row indexes). The paper's three
-//! access modes map onto it directly:
+//! All read access goes through [`Warehouse`], a read-only view of one
+//! integrated pipeline that builds its caches (search index, link-adjacency
+//! map, accession row indexes) once, on first use. Integrate through
+//! [`crate::pipeline::Aladin`], then wrap it with
+//! [`Warehouse::from_aladin`]. The paper's three access modes map onto it
+//! directly:
 //!
 //! * **Browsing** — [`Warehouse::find_object`], [`Warehouse::view`] (the four
 //!   neighbour kinds of Section 4.6) and [`Warehouse::reachable`].
@@ -27,7 +29,8 @@
 //! ```no_run
 //! # use aladin_core::access::{AttrFilter, Warehouse};
 //! # use aladin_core::metadata::LinkKind;
-//! # let warehouse = Warehouse::with_defaults();
+//! # use aladin_core::pipeline::Aladin;
+//! # let warehouse = Warehouse::from_aladin(Aladin::with_defaults());
 //! let pages = warehouse
 //!     .search("serine kinase")                       // ranked seeds
 //!     .follow_links(Some(LinkKind::ExplicitCrossRef), 1)

@@ -29,9 +29,9 @@ pub struct ObjectHit {
 /// primary object (including its secondary annotation), built from one
 /// generation of the warehouse.
 ///
-/// [`crate::access::Warehouse`] owns a lazily-built cached instance and
-/// rebuilds it automatically when sources change; build one directly only
-/// when managing caching yourself.
+/// Each [`crate::access::Warehouse`] builds one on first use and keeps it,
+/// since the pipeline it reads cannot change; build one directly only when
+/// managing caching yourself.
 pub struct SearchIndex {
     index: InvertedIndex,
 }

@@ -6,14 +6,15 @@
 //! queries — behind one type, and owns the cached access structures that make
 //! serving them cheap:
 //!
-//! * a lazily-built [`SearchIndex`] over every textual field,
-//! * a prebuilt [`LinkAdjacency`] map over every discovered link, and
+//! * a [`SearchIndex`] over every textual field,
+//! * a [`LinkAdjacency`] map over every discovered link, and
 //! * per-source accession→row indexes for `O(1)` object materialization.
 //!
-//! All three are stamped with the [`MetadataRepository`] generation they were
-//! built from and rebuilt automatically the first time they are used after a
-//! source is added or refreshed — stale results are impossible and no manual
-//! rebuild call exists.
+//! A warehouse is a read-only view of one integrated [`Aladin`] pipeline:
+//! it has no write API, so its caches are built once, on first use or by
+//! [`Warehouse::warm`], and never go stale. To change the data, integrate
+//! through [`Aladin`] (or [`crate::serve::Server`], which publishes a new
+//! warehouse version) and wrap the result with [`Warehouse::from_aladin`].
 //!
 //! The composable query layer is [`ObjectQuery`]: start from a full scan
 //! ([`Warehouse::scan`]), a keyword search ([`Warehouse::search`]) or an
@@ -27,8 +28,9 @@
 //!
 //! ```
 //! use aladin_core::access::Warehouse;
+//! use aladin_core::pipeline::Aladin;
 //! # use aladin_relstore::{ColumnDef, Database, TableSchema, Value};
-//! let mut warehouse = Warehouse::with_defaults();
+//! let mut aladin = Aladin::with_defaults();
 //! # let mut db = Database::new("protkb");
 //! # db.create_table("protkb_entry", TableSchema::of(vec![
 //! #     ColumnDef::int("entry_id"), ColumnDef::text("ac"), ColumnDef::text("de"),
@@ -37,7 +39,8 @@
 //! #     Value::text("serine kinase")]).unwrap();
 //! # db.insert("protkb_entry", vec![Value::Int(2), Value::text("P10002"),
 //! #     Value::text("sugar transporter")]).unwrap();
-//! warehouse.add_database(db).unwrap();
+//! aladin.add_database(db).unwrap();
+//! let warehouse = Warehouse::from_aladin(aladin);
 //! let kinases = warehouse
 //!     .search("kinase")
 //!     .from_source("protkb")
@@ -47,22 +50,18 @@
 //! assert_eq!(kinases[0].object.accession, "P10001");
 //! ```
 
-use crate::access::browse::{
-    self, object_attributes, object_view, reachable_from, resolve_object, ObjectView,
-};
+use crate::access::browse::{self, object_attributes, object_view, resolve_object, ObjectView};
 use crate::access::query::{build_join_path_plan, cross_source_over, run_sql};
 use crate::access::search::{ObjectHit, SearchIndex};
-use crate::config::{AladinConfig, BatchErrorPolicy, FaultInjection};
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkAdjacency, LinkKind, MetadataRepository, ObjectRef, PipelineMetrics};
-use crate::pipeline::{Aladin, BatchReport, IntegrationReport, LinkDiscoveryPlan};
-use aladin_import::SourceFormat;
+use crate::pipeline::Aladin;
 use aladin_relstore::expr::like_match;
 use aladin_relstore::plan::{fingerprint_bytes, SortKey};
 use aladin_relstore::{Database, Expr, LogicalPlan, Table, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::OnceLock;
 
 /// Default number of ranked hits a search-rooted [`ObjectQuery`] starts from.
 const DEFAULT_SEARCH_LIMIT: usize = 50;
@@ -75,10 +74,8 @@ const DEFAULT_SEARCH_LIMIT: usize = 50;
 /// `source → table → accession → row`.
 type RowIndex = HashMap<String, HashMap<String, HashMap<String, usize>>>;
 
-/// Everything the facade caches between queries, stamped with the metadata
-/// generation it was built from.
+/// Everything the facade caches between queries.
 struct AccessCaches {
-    generation: u64,
     search: SearchIndex,
     adjacency: LinkAdjacency,
     rows: RowIndex,
@@ -86,7 +83,6 @@ struct AccessCaches {
 
 impl AccessCaches {
     fn build(aladin: &Aladin) -> AladinResult<AccessCaches> {
-        let generation = aladin.metadata().generation();
         let search = SearchIndex::build(aladin)?;
         let adjacency = aladin.metadata().build_adjacency();
         let mut rows: RowIndex = HashMap::new();
@@ -120,7 +116,6 @@ impl AccessCaches {
             }
         }
         Ok(AccessCaches {
-            generation,
             search,
             adjacency,
             rows,
@@ -141,13 +136,17 @@ impl AccessCaches {
 // The facade
 // ---------------------------------------------------------------------------
 
-/// The unified access facade over an integrated ALADIN warehouse: owns the
-/// integration pipeline plus the cached access structures, and exposes
-/// browsing, search and structured queries through one composable API. See
-/// the [module docs](self) for an overview.
+/// The unified access facade over an integrated ALADIN warehouse: a
+/// read-only view of one integration pipeline plus the cached access
+/// structures built from it, exposing browsing, search and structured
+/// queries through one composable API. See the [module docs](self) for an
+/// overview.
 pub struct Warehouse {
     aladin: Aladin,
-    caches: RwLock<Option<Arc<AccessCaches>>>,
+    /// Built once by the first access. A build error is kept, since the
+    /// pipeline cannot change; a build that panics leaves the cell empty, so
+    /// the next access builds again.
+    caches: OnceLock<AladinResult<AccessCaches>>,
 }
 
 impl std::fmt::Debug for Warehouse {
@@ -160,21 +159,11 @@ impl std::fmt::Debug for Warehouse {
 }
 
 impl Warehouse {
-    /// An empty warehouse with the given configuration.
-    pub fn new(config: AladinConfig) -> Warehouse {
-        Warehouse::from_aladin(Aladin::new(config))
-    }
-
-    /// An empty warehouse with the default configuration.
-    pub fn with_defaults() -> Warehouse {
-        Warehouse::from_aladin(Aladin::with_defaults())
-    }
-
-    /// Wrap an already-populated integration pipeline.
+    /// Wrap an integrated pipeline for read access.
     pub fn from_aladin(aladin: Aladin) -> Warehouse {
         Warehouse {
             aladin,
-            caches: RwLock::new(None),
+            caches: OnceLock::new(),
         }
     }
 
@@ -183,7 +172,8 @@ impl Warehouse {
         &self.aladin
     }
 
-    /// Unwrap back into the integration pipeline.
+    /// Unwrap back into the integration pipeline, e.g. to integrate more
+    /// sources and wrap the result in a new warehouse.
     pub fn into_aladin(self) -> Aladin {
         self.aladin
     }
@@ -215,121 +205,17 @@ impl Warehouse {
         self.aladin.database(source)
     }
 
-    // -- mutation (cache invalidation is automatic via the generation) ------
-
-    /// Integrate an already-imported relational database (steps 2–5 of the
-    /// paper's process). Cached access structures are invalidated
-    /// automatically.
-    pub fn add_database(&mut self, db: Database) -> AladinResult<IntegrationReport> {
-        self.aladin.add_database(db)
-    }
-
-    /// Integrate a batch of already-imported databases, with the source-local
-    /// analysis of the batch parallelised over `AladinConfig::workers`
-    /// threads (see [`crate::pipeline::Aladin::add_databases`]).
-    pub fn add_databases(&mut self, dbs: Vec<Database>) -> AladinResult<Vec<IntegrationReport>> {
-        self.aladin.add_databases(dbs)
-    }
-
-    /// Integrate a batch under an explicit error policy, reporting a
-    /// per-source outcome instead of failing the whole call (see
-    /// [`crate::pipeline::Aladin::add_databases_with`]).
-    pub fn add_databases_with(
-        &mut self,
-        dbs: Vec<Database>,
-        policy: BatchErrorPolicy,
-    ) -> AladinResult<BatchReport> {
-        self.aladin.add_databases_with(dbs, policy)
-    }
-
-    /// Import and integrate a source given as raw files.
-    pub fn add_source_files(
-        &mut self,
-        source_name: &str,
-        format: SourceFormat,
-        files: &[(String, String)],
-    ) -> AladinResult<IntegrationReport> {
-        self.aladin.add_source_files(source_name, format, files)
-    }
-
-    /// Handle a changed source (deferred below the configured change
-    /// threshold, re-integrated above it). Cached access structures are
-    /// invalidated automatically when re-integration happens.
-    pub fn refresh_source(
-        &mut self,
-        db: Database,
-        changed_fraction: f64,
-    ) -> AladinResult<Option<IntegrationReport>> {
-        self.aladin.refresh_source(db, changed_fraction)
-    }
-
-    /// Replace the link-discovery plan for subsequent integrations.
-    pub fn set_link_plan(&mut self, plan: LinkDiscoveryPlan) {
-        self.aladin.set_link_plan(plan)
-    }
-
-    /// Replace the fault-injection configuration (tests and the
-    /// fault-tolerance harness; delegates to
-    /// [`crate::pipeline::Aladin::set_faults`]).
-    pub fn set_faults(&mut self, faults: FaultInjection) {
-        self.aladin.set_faults(faults)
-    }
-
-    // -- caches -------------------------------------------------------------
-
-    /// Current caches, rebuilt if the metadata generation moved since they
-    /// were last built.
-    fn caches(&self) -> AladinResult<Arc<AccessCaches>> {
-        let generation = self.aladin.metadata().generation();
-        // A poisoned lock means a previous build panicked while the write
-        // guard was held, i.e. the stored cache may be mid-construction.
-        // Recovery discards it and clears the flag — the caches are a pure
-        // function of the pipeline state and rebuild below — rather than
-        // trusting the suspect value or cascading the panic into every later
-        // access.
-        if self.caches.is_poisoned() {
-            self.caches.clear_poison();
-            *self.caches.write().unwrap_or_else(PoisonError::into_inner) = None;
-        }
-        if let Some(caches) = self
-            .caches
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn caches(&self) -> AladinResult<&AccessCaches> {
+        self.caches
+            .get_or_init(|| AccessCaches::build(&self.aladin))
             .as_ref()
-        {
-            if caches.generation == generation {
-                return Ok(Arc::clone(caches));
-            }
-        }
-        // Build while holding the write lock: concurrent readers that miss
-        // serialize on one rebuild instead of racing N identical builds, and
-        // a panicking build poisons the lock so the next access knows the
-        // stored value is suspect.
-        let mut slot = self.caches.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(caches) = slot.as_ref() {
-            if caches.generation == generation {
-                return Ok(Arc::clone(caches));
-            }
-        }
-        let built = Arc::new(AccessCaches::build(&self.aladin)?);
-        *slot = Some(Arc::clone(&built));
-        Ok(built)
+            .map_err(Clone::clone)
     }
 
     /// Eagerly build the cached access structures (useful before serving
     /// traffic; every access path otherwise builds them on first use).
     pub fn warm(&self) -> AladinResult<()> {
         self.caches().map(|_| ())
-    }
-
-    /// Generation of the currently cached access structures, if any have been
-    /// built. Mostly useful for tests and monitoring.
-    pub fn cached_generation(&self) -> Option<u64> {
-        self.caches
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|c| c.generation)
     }
 
     // -- browse mode --------------------------------------------------------
@@ -365,11 +251,13 @@ impl Warehouse {
         object_view(&self.aladin, caches.adjacency.neighbours(object), object)
     }
 
-    /// Objects reachable from a start object by following links up to
-    /// `depth` hops (breadth-first, excluding the start).
+    /// Objects reachable from a start object by following links of every
+    /// kind up to `depth` hops (breadth-first, excluding the start). This is
+    /// the "web of biological objects" traversal of the introduction.
     pub fn reachable(&self, start: &ObjectRef, depth: usize) -> AladinResult<Vec<ObjectRef>> {
         let caches = self.caches()?;
-        Ok(reachable_from(&caches.adjacency, start, depth))
+        let reached = walk_links(&caches.adjacency, [start.clone()], depth, |_| true);
+        Ok(reached.into_iter().map(|(object, _)| object).collect())
     }
 
     // -- search mode --------------------------------------------------------
@@ -868,7 +756,11 @@ impl<'w> ObjectQuery<'w> {
                     hits = kept;
                 }
                 QueryOp::FollowLinks { kind, depth } => {
-                    hits = follow_stage(&caches.adjacency, &hits, *kind, *depth);
+                    let seeds = hits.into_iter().map(|(object, _)| object);
+                    hits = walk_links(&caches.adjacency, seeds, *depth, |k| match kind {
+                        Some(wanted) => k == *wanted,
+                        None => k != LinkKind::Duplicate,
+                    });
                 }
             }
         }
@@ -951,11 +843,11 @@ impl<'w> ObjectQuery<'w> {
     /// Execute and materialize every result.
     pub fn fetch(&self) -> AladinResult<Vec<ObjectRecord>> {
         let caches = self.warehouse.caches()?;
-        let hits = self.resolve(&caches)?;
+        let hits = self.resolve(caches)?;
         let range = self.page(&hits);
         materialize(
             &self.warehouse.aladin,
-            &caches,
+            caches,
             &hits[range],
             &self.spec.annotations,
         )
@@ -964,8 +856,7 @@ impl<'w> ObjectQuery<'w> {
     /// Execute and count the results (no materialization; offset/limit still
     /// apply).
     pub fn count(&self) -> AladinResult<usize> {
-        let caches = self.warehouse.caches()?;
-        let hits = self.resolve(&caches)?;
+        let hits = self.resolve(self.warehouse.caches()?)?;
         Ok(self.page(&hits).len())
     }
 
@@ -975,10 +866,11 @@ impl<'w> ObjectQuery<'w> {
     /// the warehouse re-running the query.
     pub fn cursor(&self, page_size: usize) -> AladinResult<ObjectCursor<'w>> {
         let caches = self.warehouse.caches()?;
-        let hits = self.resolve(&caches)?;
+        let hits = self.resolve(caches)?;
         let range = self.page(&hits);
         Ok(ObjectCursor {
-            warehouse: self.warehouse,
+            aladin: &self.warehouse.aladin,
+            caches,
             hits: hits[range].to_vec(),
             annotations: self.spec.annotations.clone(),
             page_size: page_size.max(1),
@@ -1120,29 +1012,29 @@ impl<'w> ObjectQuery<'w> {
     }
 }
 
-/// One `follow_links` stage: breadth-first over the adjacency from every
-/// current hit, deduplicated across the stage, seeds excluded, discovery
-/// order preserved (seed order, then hop distance, then link score).
-fn follow_stage(
+/// Breadth-first over the adjacency from `seeds` up to `depth` hops,
+/// following the links whose kind passes `follow`: every object is reached
+/// once, seeds excluded, in discovery order (seed order, then hop distance,
+/// then link score).
+fn walk_links(
     adjacency: &LinkAdjacency,
-    hits: &[(ObjectRef, RecordOrigin)],
-    kind: Option<LinkKind>,
+    seeds: impl IntoIterator<Item = ObjectRef>,
     depth: usize,
+    follow: impl Fn(LinkKind) -> bool,
 ) -> Vec<(ObjectRef, RecordOrigin)> {
-    let mut seen: HashSet<ObjectRef> = hits.iter().map(|(o, _)| o.clone()).collect();
-    let mut queue: VecDeque<(ObjectRef, usize)> =
-        hits.iter().map(|(o, _)| (o.clone(), 0)).collect();
+    let mut seen: HashSet<ObjectRef> = HashSet::new();
+    let mut queue: VecDeque<(ObjectRef, usize)> = VecDeque::new();
+    for seed in seeds {
+        seen.insert(seed.clone());
+        queue.push_back((seed, 0));
+    }
     let mut out = Vec::new();
     while let Some((current, d)) = queue.pop_front() {
         if d >= depth {
             continue;
         }
         for n in adjacency.neighbours(&current) {
-            let followed = match kind {
-                Some(k) => n.kind == k,
-                None => n.kind != LinkKind::Duplicate,
-            };
-            if !followed {
+            if !follow(n.kind) {
                 continue;
             }
             if seen.insert(n.object.clone()) {
@@ -1228,7 +1120,8 @@ fn materialize(
 /// page of [`ObjectRecord`]s at a time, so page boundaries are stable no
 /// matter how the cursor is consumed.
 pub struct ObjectCursor<'w> {
-    warehouse: &'w Warehouse,
+    aladin: &'w Aladin,
+    caches: &'w AccessCaches,
     hits: Vec<(ObjectRef, RecordOrigin)>,
     annotations: Vec<String>,
     page_size: usize,
@@ -1262,13 +1155,9 @@ impl Iterator for ObjectCursor<'_> {
         let end = (self.position + self.page_size).min(self.hits.len());
         let slice = &self.hits[self.position..end];
         self.position = end;
-        let caches = match self.warehouse.caches() {
-            Ok(c) => c,
-            Err(e) => return Some(Err(e)),
-        };
         Some(materialize(
-            &self.warehouse.aladin,
-            &caches,
+            self.aladin,
+            self.caches,
             slice,
             &self.annotations,
         ))
@@ -1278,17 +1167,23 @@ impl Iterator for ObjectCursor<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::config::{AladinConfig, FaultInjection};
     use aladin_relstore::{ColumnDef, TableSchema};
 
     /// Two small sources: three proteins (P10001 and P10002 with one DR
     /// cross-reference row each) and three structures (1ABC, 2DEF, 3GHI).
     pub(crate) fn warehouse() -> Warehouse {
+        Warehouse::from_aladin(pipeline())
+    }
+
+    /// The integrated pipeline behind [`warehouse`].
+    fn pipeline() -> Aladin {
         let config = AladinConfig {
             link_min_matches: 1,
             min_distinct_values: 2,
             ..Default::default()
         };
-        let mut warehouse = Warehouse::new(config);
+        let mut aladin = Aladin::new(config);
 
         let mut protkb = Database::new("protkb");
         protkb
@@ -1338,7 +1233,7 @@ pub(crate) mod tests {
                 )
                 .unwrap();
         }
-        warehouse.add_database(protkb).unwrap();
+        aladin.add_database(protkb).unwrap();
 
         let mut structdb = Database::new("structdb");
         structdb
@@ -1359,8 +1254,26 @@ pub(crate) mod tests {
                 .insert("structures", vec![Value::text(acc), Value::text(title)])
                 .unwrap();
         }
-        warehouse.add_database(structdb).unwrap();
-        warehouse
+        aladin.add_database(structdb).unwrap();
+        aladin
+    }
+
+    /// A third source of two ontology terms, one about kinases.
+    fn ontodb() -> Database {
+        let mut db = Database::new("ontodb");
+        db.create_table(
+            "terms",
+            TableSchema::of(vec![ColumnDef::text("term_id"), ColumnDef::text("name")]),
+        )
+        .unwrap();
+        db.insert(
+            "terms",
+            vec![Value::text("GO:1"), Value::text("kinase activity")],
+        )
+        .unwrap();
+        db.insert("terms", vec![Value::text("GO:2"), Value::text("transport")])
+            .unwrap();
+        db
     }
 
     #[test]
@@ -1789,96 +1702,70 @@ pub(crate) mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
+    /// Run `f`, which must panic with a formatted message, and return it.
+    fn panic_message<T>(f: impl FnOnce() -> T) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .err()
+            .expect("the call must panic");
+        *payload
+            .downcast::<String>()
+            .expect("a formatted panic message")
+    }
+
     #[test]
     fn poisoned_mid_construction_cache_is_discarded_and_rebuilt() {
-        let mut w = warehouse();
-        w.warm().unwrap();
-        let hits_before = w.search_hits("kinase", 5).unwrap();
-
-        // Arm the fault and move the generation so the next access must
-        // rebuild: that rebuild panics *while the cache write guard is
-        // held*, leaving the lock poisoned with the cache mid-construction.
-        w.set_faults(FaultInjection {
+        let mut aladin = pipeline();
+        aladin.add_database(ontodb()).unwrap();
+        aladin.set_faults(FaultInjection {
             panic_cache_build: vec!["protkb".into()],
             ..Default::default()
         });
-        let mut extra = Database::new("ontodb");
-        extra
-            .create_table(
-                "terms",
-                TableSchema::of(vec![ColumnDef::text("term_id"), ColumnDef::text("name")]),
-            )
-            .unwrap();
-        extra
-            .insert(
-                "terms",
-                vec![Value::text("GO:1"), Value::text("kinase activity")],
-            )
-            .unwrap();
-        extra
-            .insert("terms", vec![Value::text("GO:2"), Value::text("transport")])
-            .unwrap();
-        w.add_database(extra).unwrap();
-        let generation = w.metadata().generation();
+        let w = Warehouse::from_aladin(aladin);
 
-        let panicked =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.search_hits("kinase", 5)))
-                .is_err();
-        assert!(panicked, "armed cache build must panic");
+        // The armed build panics on first use. The second access panics with
+        // the same message: the build ran again instead of serving a
+        // half-built cell.
+        let first = panic_message(|| w.search_hits("kinase", 5));
+        assert!(
+            first.contains("cache build panics on source 'protkb'"),
+            "{first}"
+        );
+        assert_eq!(panic_message(|| w.scan().count()), first);
 
-        // While the fault stays armed every rebuild dies the same way, so
-        // recovery is exercised repeatedly, not just once.
-        let panicked_again =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.scan().count())).is_err();
-        assert!(panicked_again);
-
-        // Disarm: the next access discards the mid-construction cache,
-        // clears the poison and rebuilds from scratch.
-        w.set_faults(FaultInjection::default());
+        // Disarmed, the same pipeline serves every access mode, including
+        // the source added before the fault was armed.
+        let mut aladin = w.into_aladin();
+        aladin.set_faults(FaultInjection::default());
+        let w = Warehouse::from_aladin(aladin);
         let hits = w.search_hits("kinase", 10).unwrap();
         assert!(hits.iter().any(|h| h.object.source == "ontodb"));
-        assert!(hits
-            .iter()
-            .any(|h| hits_before.iter().any(|b| b.object == h.object)));
-        assert_eq!(w.cached_generation(), Some(generation));
-        // Every access mode serves normally after recovery.
+        assert!(hits.iter().any(|h| h.object.accession == "P10001"));
         assert_eq!(w.scan().from_source("ontodb").count().unwrap(), 2);
         let obj = w.find_object("protkb", "P10001").unwrap();
         assert!(!w.view(&obj).unwrap().attributes.is_empty());
+        assert!(!w.reachable(&obj, 1).unwrap().is_empty());
     }
 
     #[test]
     fn caches_rebuild_only_when_generation_moves() {
-        let mut w = warehouse();
-        assert_eq!(w.cached_generation(), None);
-        w.warm().unwrap();
-        let g = w.cached_generation().unwrap();
-        // Read paths do not invalidate.
-        let _ = w.search_hits("kinase", 5).unwrap();
-        let _ = w.scan().count().unwrap();
-        assert_eq!(w.cached_generation(), Some(g));
+        // A warehouse over generation N keeps answering as N after its
+        // pipeline moves on; only a new warehouse sees the added source.
+        let mut aladin = pipeline();
+        let held = Warehouse::from_aladin(aladin.clone());
+        held.warm().unwrap();
+        let g = held.metadata().generation();
+        aladin.add_database(ontodb()).unwrap();
+        assert!(aladin.metadata().generation() > g);
 
-        // Adding a source moves the metadata generation; the next access
-        // rebuilds and the new objects are immediately searchable.
-        let mut extra = Database::new("ontodb");
-        extra
-            .create_table(
-                "terms",
-                TableSchema::of(vec![ColumnDef::text("term_id"), ColumnDef::text("name")]),
-            )
-            .unwrap();
-        extra
-            .insert(
-                "terms",
-                vec![Value::text("GO:1"), Value::text("kinase activity")],
-            )
-            .unwrap();
-        extra
-            .insert("terms", vec![Value::text("GO:2"), Value::text("transport")])
-            .unwrap();
-        w.add_database(extra).unwrap();
-        let hits = w.search_hits("kinase", 10).unwrap();
+        assert_eq!(held.metadata().generation(), g);
+        assert_eq!(held.source_names(), vec!["protkb", "structdb"]);
+        let hits = held.search_hits("kinase", 10).unwrap();
+        assert!(hits.iter().all(|h| h.object.source != "ontodb"));
+        assert_eq!(held.scan().count().unwrap(), 6);
+
+        let fresh = Warehouse::from_aladin(aladin);
+        let hits = fresh.search_hits("kinase", 10).unwrap();
         assert!(hits.iter().any(|h| h.object.source == "ontodb"));
-        assert!(w.cached_generation().unwrap() > g);
+        assert_eq!(fresh.scan().count().unwrap(), 8);
     }
 }

@@ -108,9 +108,9 @@ pub struct FaultInjection {
     /// panic inside their job.
     pub panic_pairs: Vec<(String, String)>,
     /// Building the warehouse access caches panics while processing these
-    /// sources — *while the cache write lock is held*, so the lock poisons
-    /// with the cache mid-construction. Exercises the poisoning-recovery
-    /// path of `Warehouse`.
+    /// sources, midway through the build. Exercises that a panicking build
+    /// leaves a `Warehouse` without caches, so its next access builds again,
+    /// and that the serving layer then publishes nothing.
     pub panic_cache_build: Vec<String>,
 }
 

@@ -339,13 +339,11 @@ pub struct Neighbour {
 /// A prebuilt adjacency map over every stored link (including duplicates),
 /// indexed by object. Building it once is `O(links)`; afterwards every
 /// neighbourhood lookup is `O(1)` instead of a scan over the whole link set —
-/// the access layer builds one per query (or reuses the cached one owned by
-/// [`crate::access::Warehouse`]) rather than calling
+/// each [`crate::access::Warehouse`] builds one, once, rather than calling
 /// [`MetadataRepository::links_of`] per object.
 #[derive(Debug, Clone, Default)]
 pub struct LinkAdjacency {
     map: HashMap<ObjectRef, Vec<Neighbour>>,
-    generation: u64,
 }
 
 impl LinkAdjacency {
@@ -359,11 +357,6 @@ impl LinkAdjacency {
     pub fn object_count(&self) -> usize {
         self.map.len()
     }
-
-    /// The repository generation this adjacency was built from.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 /// The metadata repository.
@@ -374,9 +367,8 @@ pub struct MetadataRepository {
     duplicates: Vec<Link>,
     timings: Vec<StepTiming>,
     failures: Vec<PairFailure>,
-    /// Monotone counter bumped by every structural mutation; cached access
-    /// structures (search index, adjacency map) compare it to decide whether
-    /// they are stale.
+    /// Monotone counter bumped by every structural mutation; it names the
+    /// warehouse versions the serving layer publishes.
     generation: u64,
 }
 
@@ -386,10 +378,9 @@ impl MetadataRepository {
         MetadataRepository::default()
     }
 
-    /// The current generation: bumped by every structural mutation. Cached
-    /// access structures remember the generation they were built from and
-    /// rebuild when it no longer matches, which makes stale caches
-    /// impossible without any manual invalidation call.
+    /// The current generation: bumped by every structural mutation. The
+    /// serving layer keys its published snapshots and cached results on it,
+    /// so no result outlives the version it was computed on.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -504,10 +495,7 @@ impl MetadataRepository {
                     .then_with(|| a.kind.cmp(&b.kind))
             });
         }
-        LinkAdjacency {
-            map,
-            generation: self.generation,
-        }
+        LinkAdjacency { map }
     }
 
     /// Record a step timing.
@@ -743,7 +731,6 @@ mod tests {
         repo.add_links(vec![link("P1", "2DEF", LinkKind::ExplicitCrossRef), weak]);
         repo.add_duplicates(vec![link("P1", "1ABC", LinkKind::Duplicate)]);
         let adjacency = repo.build_adjacency();
-        assert_eq!(adjacency.generation(), repo.generation());
         assert_eq!(adjacency.object_count(), 3);
 
         let p1 = ObjectRef::new("protkb", "protkb_entry", "P1");

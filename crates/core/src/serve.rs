@@ -123,20 +123,20 @@ impl ServeConfig {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// An immutable, shared view of the warehouse pinned to one metadata
-/// generation. Cloning is an [`Arc`] bump; the underlying [`Warehouse`] is
-/// pre-warmed at publish time, so no reader ever pays a cache build or takes
-/// a lock beyond the momentary [`Server::snapshot`] read lock.
+/// A shared, immutable warehouse version: one published [`Warehouse`],
+/// whose pipeline and access caches nothing mutates. Cloning is an [`Arc`]
+/// bump; the warehouse was warmed at publish time, so no reader ever pays a
+/// cache build or takes a lock beyond the momentary [`Server::snapshot`]
+/// read lock.
 #[derive(Clone)]
 pub struct Snapshot {
     warehouse: Arc<Warehouse>,
-    generation: u64,
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("generation", &self.generation)
+            .field("generation", &self.generation())
             .field("sources", &self.warehouse.source_names())
             .finish()
     }
@@ -151,7 +151,7 @@ impl Snapshot {
 
     /// The metadata generation the snapshot was published at.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.warehouse.metadata().generation()
     }
 }
 
@@ -182,10 +182,8 @@ fn build_snapshot(master: &Aladin) -> AladinResult<Snapshot> {
     // Warm eagerly: a failed or panicking build surfaces here, on the
     // writer, never on a reader holding the published snapshot.
     warehouse.warm()?;
-    let generation = warehouse.metadata().generation();
     Ok(Snapshot {
         warehouse: Arc::new(warehouse),
-        generation,
     })
 }
 
@@ -399,7 +397,7 @@ impl Server {
     /// initial snapshot.
     pub fn start(aladin: Aladin, config: ServeConfig) -> AladinResult<Server> {
         let snapshot = build_snapshot(&aladin)?;
-        Self::publish_marker(&aladin, snapshot.generation)?;
+        Self::publish_marker(&aladin, snapshot.generation())?;
         Ok(Server {
             master: Mutex::new(aladin),
             current: RwLock::new(snapshot),
@@ -473,7 +471,7 @@ impl Server {
 
     /// Generation of the currently published snapshot.
     pub fn generation(&self) -> u64 {
-        self.snapshot().generation
+        self.snapshot().generation()
     }
 
     /// Current serving metrics (see [`ServeMetrics`]).
@@ -500,7 +498,7 @@ impl Server {
     /// readers stay valid until dropped.
     fn publish(&self, master: &Aladin) -> AladinResult<()> {
         let snapshot = build_snapshot(master)?;
-        let generation = snapshot.generation;
+        let generation = snapshot.generation();
         // Marker before swap: a failure here publishes neither, so disk and
         // memory never disagree about what was served.
         Self::publish_marker(master, generation)?;
@@ -517,21 +515,30 @@ impl Server {
         self.master.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Run one writer call on the master, then publish a new snapshot if the
+    /// call committed anything (the metadata generation moved), even when it
+    /// errs: under `ContinueOnError` a partial batch commits its healthy
+    /// sources and still returns [`AladinError::PartialIntegration`].
+    fn write<T>(&self, call: impl FnOnce(&mut Aladin) -> AladinResult<T>) -> AladinResult<T> {
+        let mut master = self.master();
+        let generation = master.metadata().generation();
+        let result = call(&mut master);
+        if master.metadata().generation() != generation {
+            self.publish(&master)?;
+        }
+        result
+    }
+
     /// Integrate a new source and publish the next warehouse version.
     /// Readers keep serving the previous snapshot throughout.
     pub fn add_database(&self, db: Database) -> AladinResult<IntegrationReport> {
-        let mut master = self.master();
-        let report = master.add_database(db)?;
-        self.publish(&master)?;
-        Ok(report)
+        self.write(|master| master.add_database(db))
     }
 
-    /// Integrate a batch of sources, publishing once at the end.
+    /// Integrate a batch of sources, publishing once at the end. Sources a
+    /// partial batch committed are published with it.
     pub fn add_databases(&self, dbs: Vec<Database>) -> AladinResult<Vec<IntegrationReport>> {
-        let mut master = self.master();
-        let reports = master.add_databases(dbs)?;
-        self.publish(&master)?;
-        Ok(reports)
+        self.write(|master| master.add_databases(dbs))
     }
 
     /// Handle a changed source (deferred below the configured change
@@ -542,12 +549,7 @@ impl Server {
         db: Database,
         changed_fraction: f64,
     ) -> AladinResult<Option<IntegrationReport>> {
-        let mut master = self.master();
-        let report = master.refresh_source(db, changed_fraction)?;
-        if report.is_some() {
-            self.publish(&master)?;
-        }
-        Ok(report)
+        self.write(|master| master.refresh_source(db, changed_fraction))
     }
 
     // -- reader side --------------------------------------------------------
@@ -563,7 +565,7 @@ impl Server {
     ) -> AladinResult<Arc<T>> {
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         let snapshot = self.snapshot();
-        let key = key.map(|k| (snapshot.generation, k));
+        let key = key.map(|k| (snapshot.generation(), k));
         if let Some(hit) = key
             .and_then(|k| self.cache.lookup(k))
             .and_then(|v| v.downcast().ok())
@@ -664,7 +666,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::access::AttrFilter;
-    use crate::config::AladinConfig;
+    use crate::config::{AladinConfig, BatchErrorPolicy, FaultInjection};
     use aladin_relstore::{ColumnDef, TableSchema, Value};
 
     fn protkb() -> Database {
@@ -1058,5 +1060,72 @@ mod tests {
         let report = server.refresh_source(protkb(), 1.0).unwrap();
         assert!(report.is_some());
         assert!(server.generation() > g);
+    }
+
+    /// A server over `protkb` whose pipeline runs under `faults`.
+    fn faulty_server(faults: FaultInjection, policy: BatchErrorPolicy) -> Server {
+        let config = AladinConfig {
+            link_min_matches: 1,
+            min_distinct_values: 2,
+            batch_policy: policy,
+            faults,
+            ..Default::default()
+        };
+        let mut aladin = Aladin::new(config);
+        aladin.add_database(protkb()).unwrap();
+        Server::start(aladin, ServeConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn a_partial_batch_publishes_the_sources_it_committed() {
+        let faults = FaultInjection {
+            fail_analysis: vec!["goterms".into()],
+            ..Default::default()
+        };
+        let server = faulty_server(faults, BatchErrorPolicy::ContinueOnError);
+        let g = server.generation();
+
+        let err = server
+            .add_databases(vec![structdb(), goterms()])
+            .unwrap_err();
+        assert!(
+            matches!(err, AladinError::PartialIntegration { .. }),
+            "{err}"
+        );
+        // The healthy source was committed, so readers see it at once.
+        assert!(server.generation() > g);
+        assert_eq!(server.metrics().snapshots_published, 2);
+        assert_eq!(
+            server.snapshot().warehouse().source_names(),
+            vec!["protkb", "structdb"]
+        );
+        let structures = server.fetch(&QuerySpec::scan().from_source("structdb"));
+        assert_eq!(structures.unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_build_publishes_nothing() {
+        let faults = FaultInjection {
+            panic_cache_build: vec!["structdb".into()],
+            ..Default::default()
+        };
+        let server = faulty_server(faults, BatchErrorPolicy::FailFast);
+        let before = server.metrics();
+        let scan = server.snapshot().warehouse().scan().fetch().unwrap();
+
+        let add = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.add_database(structdb())
+        }));
+        assert!(add.is_err(), "the armed cache build must panic");
+
+        // Readers keep the previous version.
+        let after = server.metrics();
+        assert_eq!(after.generation, before.generation);
+        assert_eq!(after.snapshots_published, before.snapshots_published);
+        let snapshot = server.snapshot();
+        assert_eq!(snapshot.warehouse().source_names(), vec!["protkb"]);
+        assert_eq!(snapshot.warehouse().scan().fetch().unwrap(), scan);
+        // The next writer recovers the master lock the panic poisoned.
+        assert!(server.refresh_source(protkb(), 0.01).unwrap().is_none());
     }
 }

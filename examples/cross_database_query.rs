@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example cross_database_query`
 
 use aladin::core::access::Warehouse;
-use aladin::core::AladinConfig;
+use aladin::core::{Aladin, AladinConfig};
 use aladin::datagen::{Corpus, CorpusConfig};
 
 fn main() {
@@ -15,12 +15,13 @@ fn main() {
     config.gene_fraction = 0.9;
     config.structure_fraction = 0.5;
     let corpus = Corpus::generate(&config);
-    let mut warehouse = Warehouse::new(AladinConfig::default());
+    let mut aladin = Aladin::new(AladinConfig::default());
     for dump in &corpus.sources {
-        warehouse
+        aladin
             .add_source_files(&dump.name, dump.format, &dump.files)
             .expect("integration succeeds");
     }
+    let warehouse = Warehouse::from_aladin(aladin);
 
     // Step 1: select genes of a certain species on a certain chromosome with
     // plain SQL over the imported gene schema (LIMIT/OFFSET paginate).

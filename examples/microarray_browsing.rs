@@ -8,19 +8,20 @@
 //! Run with: `cargo run --release --example microarray_browsing`
 
 use aladin::core::access::Warehouse;
-use aladin::core::AladinConfig;
+use aladin::core::{Aladin, AladinConfig};
 use aladin::datagen::{Corpus, CorpusConfig};
 
 fn main() {
     let mut config = CorpusConfig::medium(11);
     config.gene_fraction = 0.9;
     let corpus = Corpus::generate(&config);
-    let mut warehouse = Warehouse::new(AladinConfig::default());
+    let mut aladin = Aladin::new(AladinConfig::default());
     for dump in &corpus.sources {
-        warehouse
+        aladin
             .add_source_files(&dump.name, dump.format, &dump.files)
             .expect("integration succeeds");
     }
+    let warehouse = Warehouse::from_aladin(aladin);
 
     // The "hit list" of a microarray experiment: 60 genes.
     let genes = warehouse

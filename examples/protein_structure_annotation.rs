@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example protein_structure_annotation`
 
 use aladin::core::access::Warehouse;
-use aladin::core::AladinConfig;
+use aladin::core::{Aladin, AladinConfig};
 use aladin::datagen::{Corpus, CorpusConfig};
 
 fn main() {
@@ -17,12 +17,13 @@ fn main() {
     config.missing_xref_rate = 0.25;
     let corpus = Corpus::generate(&config);
 
-    let mut warehouse = Warehouse::new(AladinConfig::default());
+    let mut aladin = Aladin::new(AladinConfig::default());
     for dump in &corpus.sources {
-        warehouse
+        aladin
             .add_source_files(&dump.name, dump.format, &dump.files)
             .expect("integration succeeds");
     }
+    let warehouse = Warehouse::from_aladin(aladin);
 
     // The discovered structure of the protein knowledgebase mirrors the
     // BioSQL discussion of the paper: the entry table is primary, the

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use aladin::core::access::Warehouse;
-use aladin::core::AladinConfig;
+use aladin::core::{Aladin, AladinConfig};
 use aladin::datagen::{Corpus, CorpusConfig};
 
 fn main() {
@@ -20,11 +20,9 @@ fn main() {
 
     // 2. Integrate every source. The only human input is the choice of parser
     //    (flat file / XML / tabular / FASTA); everything else is discovered.
-    //    The warehouse's cached access structures (search index, link
-    //    adjacency) invalidate themselves on every addition.
-    let mut warehouse = Warehouse::new(AladinConfig::default());
+    let mut aladin = Aladin::new(AladinConfig::default());
     for dump in &corpus.sources {
-        let report = warehouse
+        let report = aladin
             .add_source_files(&dump.name, dump.format, &dump.files)
             .expect("integration succeeds");
         println!(
@@ -41,7 +39,10 @@ fn main() {
         );
     }
 
-    // 3. The warehouse now holds objects and links.
+    // 3. The integrated sources become a read-only warehouse of objects and
+    //    links. Its access structures (search index, link adjacency) are
+    //    built once, on first use.
+    let warehouse = Warehouse::from_aladin(aladin);
     println!(
         "\nwarehouse: {} sources, {} object links, {} duplicate links",
         warehouse.source_count(),

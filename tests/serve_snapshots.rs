@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 use aladin::core::serve::{ServeConfig, Server};
-use aladin::core::{QuerySpec, Warehouse};
+use aladin::core::{Aladin, QuerySpec};
 use aladin::datagen::{Corpus, CorpusConfig};
 use aladin::import::import_files;
 use aladin::relstore::Database;
@@ -22,13 +22,13 @@ const WRITER_REFRESHES: usize = 3;
 /// the corpus alongside so the writer thread can re-import dumps.
 fn corpus_server(seed: u64, config: ServeConfig) -> (Server, Corpus) {
     let corpus = Corpus::generate(&CorpusConfig::small(seed));
-    let mut warehouse = Warehouse::with_defaults();
+    let mut aladin = Aladin::with_defaults();
     for dump in &corpus.sources {
-        warehouse
+        aladin
             .add_source_files(&dump.name, dump.format, &dump.files)
             .unwrap_or_else(|e| panic!("failed to integrate {}: {e}", dump.name));
     }
-    let server = Server::start(warehouse.into_aladin(), config).expect("initial snapshot");
+    let server = Server::start(aladin, config).expect("initial snapshot");
     (server, corpus)
 }
 

@@ -1,21 +1,22 @@
 //! Integration tests for the unified `Warehouse` access API: all three
 //! access modes through one facade, composed queries with cursor pagination,
-//! and automatic cache invalidation on source addition and refresh.
+//! and new warehouse versions served on source addition and refresh.
 
 use aladin::core::access::{AttrFilter, ObjectRecord, RecordOrigin, Warehouse};
-use aladin::core::{AladinConfig, LinkKind};
+use aladin::core::serve::{ServeConfig, Server};
+use aladin::core::{Aladin, AladinConfig, LinkKind, QuerySpec};
 use aladin::datagen::{Corpus, CorpusConfig};
 use aladin::relstore::{ColumnDef, Database, TableSchema, Value};
 
 fn corpus_warehouse(seed: u64) -> Warehouse {
     let corpus = Corpus::generate(&CorpusConfig::small(seed));
-    let mut warehouse = Warehouse::with_defaults();
+    let mut aladin = Aladin::with_defaults();
     for dump in &corpus.sources {
-        warehouse
+        aladin
             .add_source_files(&dump.name, dump.format, &dump.files)
             .unwrap_or_else(|e| panic!("failed to integrate {}: {e}", dump.name));
     }
-    warehouse
+    Warehouse::from_aladin(aladin)
 }
 
 #[test]
@@ -216,19 +217,19 @@ fn caches_invalidate_on_add_database_and_refresh_source() {
         min_distinct_values: 2,
         ..Default::default()
     };
-    let mut warehouse = Warehouse::new(config);
-    warehouse
+    let mut aladin = Aladin::new(config);
+    aladin
         .add_database(protein_db(&[
             ("P10001", "serine kinase enzyme"),
             ("P10002", "sugar transporter protein"),
             ("P10003", "ribosome assembly factor"),
         ]))
         .unwrap();
+    let server = Server::start(aladin, ServeConfig::default()).unwrap();
 
-    // Build the caches by using them.
-    assert_eq!(warehouse.search_hits("kinase", 10).unwrap().len(), 1);
-    assert!(warehouse.search_hits("crystal", 10).unwrap().is_empty());
-    let generation_before = warehouse.cached_generation().unwrap();
+    assert_eq!(server.search("kinase", 10).unwrap().len(), 1);
+    assert!(server.search("crystal", 10).unwrap().is_empty());
+    let generation_before = server.generation();
 
     // Adding a source must be reflected immediately: its objects are
     // searchable and its links traversable with no manual rebuild call.
@@ -250,22 +251,23 @@ fn caches_invalidate_on_add_database_and_refresh_source() {
             .insert("structures", vec![Value::text(acc), Value::text(title)])
             .unwrap();
     }
-    warehouse.add_database(structdb).unwrap();
+    server.add_database(structdb).unwrap();
 
-    let hits = warehouse.search_hits("crystal", 10).unwrap();
+    let hits = server.search("crystal", 10).unwrap();
     assert_eq!(hits.len(), 2, "new source must be searchable immediately");
-    assert!(warehouse.cached_generation().unwrap() > generation_before);
-    let linked = warehouse
-        .accession("protkb", "P10001")
-        .follow_links(Some(LinkKind::ExplicitCrossRef), 1)
-        .fetch()
+    assert!(server.generation() > generation_before);
+    let linked = server
+        .fetch(
+            &QuerySpec::accession("protkb", "P10001")
+                .follow_links(Some(LinkKind::ExplicitCrossRef), 1),
+        )
         .unwrap();
     assert_eq!(linked.len(), 1);
     assert_eq!(linked[0].object.accession, "1ABC");
 
     // Refreshing a source re-integrates it; stale index entries must be
     // gone and new content present.
-    warehouse
+    server
         .refresh_source(
             protein_db(&[
                 ("P10001", "serine kinase enzyme"),
@@ -277,19 +279,21 @@ fn caches_invalidate_on_add_database_and_refresh_source() {
         .unwrap()
         .expect("above threshold: re-integration happens");
 
-    let stale = warehouse.search_hits("ribosome", 10).unwrap();
+    let stale = server.search("ribosome", 10).unwrap();
     assert!(stale.is_empty(), "stale index results must be impossible");
-    let fresh = warehouse.search_hits("telomerase", 10).unwrap();
+    let fresh = server.search("telomerase", 10).unwrap();
     assert_eq!(fresh.len(), 1);
     assert_eq!(fresh[0].object.accession, "P10004");
-    assert!(warehouse.find_object("protkb", "P10003").is_err());
+    assert!(server
+        .fetch(&QuerySpec::accession("protkb", "P10003"))
+        .is_err());
 
     // A below-threshold refresh is deferred and changes nothing.
-    let generation = warehouse.cached_generation().unwrap();
-    let deferred = warehouse
+    let generation = server.generation();
+    let deferred = server
         .refresh_source(protein_db(&[("P10001", "x")]), 0.0)
         .unwrap();
     assert!(deferred.is_none());
-    let _ = warehouse.search_hits("kinase", 10).unwrap();
-    assert_eq!(warehouse.cached_generation().unwrap(), generation);
+    let _ = server.search("kinase", 10).unwrap();
+    assert_eq!(server.generation(), generation);
 }
