@@ -12,6 +12,9 @@
 //!   neighbours) vs. `Blocked` (accession-prefix + name-token blocking with a
 //!   sorted-neighbourhood window).
 //!
+//! The JSON also records `available_parallelism` (the sequential/parallel
+//! columns cannot differ on one CPU) and `"run": "full"`.
+//!
 //! The pipeline guarantees identical discovery output for every worker count,
 //! so the sequential/parallel columns differ only in wall clock; the
 //! blocked/exhaustive columns additionally report the candidate pairs scored.
@@ -84,7 +87,11 @@ fn main() {
         ("parallel_blocked", 0, DuplicateCandidates::Blocked),
     ];
 
-    let mut json = String::from("{\n  \"worlds\": {\n");
+    // Every run is a full one: this binary has no smoke mode.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut json = format!(
+        "{{\n  \"available_parallelism\": {cpus},\n  \"run\": \"full\",\n  \"worlds\": {{\n"
+    );
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut largest_pair_metrics: Option<PipelineMetrics> = None;
 

@@ -374,6 +374,53 @@ mod tests {
     }
 
     #[test]
+    fn a_non_ascii_value_in_a_sequence_column_does_not_stop_the_other_links() {
+        // Twelve distinct pseudo-random proteins, each stored in both sources.
+        const AA: &[u8] = b"ACDEFGHIKLMNPQRSTVWY";
+        let mut state = 7u32;
+        let mut residue = || {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            char::from(AA[(state >> 16) as usize % AA.len()])
+        };
+        let proteins: Vec<String> = (0..12)
+            .map(|_| (0..40).map(|_| residue()).collect())
+            .collect();
+        let accessions = |prefix: &str| -> Vec<String> {
+            (0..12)
+                .map(|i| format!("{prefix}{:04}", 1001 + i))
+                .collect()
+        };
+        let (a_acc, b_acc) = (accessions("P1"), accessions("PA"));
+        let mut a_seqs = proteins.clone();
+        // 11 of 12 values are sequences, so the column still counts as one.
+        a_seqs[0] = "MKTAYIAKQR – isoform note, see ΑΒ entry MKTAYIAKQRQISFVKSHFSRQ".into();
+        let source = |name: &str, acc: &[String], seqs: &[String]| {
+            let entries: Vec<(&str, &str, &str)> = acc
+                .iter()
+                .zip(seqs)
+                .map(|(a, s)| (a.as_str(), "uncharacterized protein", s.as_str()))
+                .collect();
+            protein_source(name, &entries)
+        };
+        let a = source("protkb", &a_acc, &a_seqs);
+        let b = source("archive", &b_acc, &proteins);
+        let cfg = config();
+        let sa = analyze_database(&a, &cfg).unwrap();
+        let sb = analyze_database(&b, &cfg).unwrap();
+        let forward = discover_sequence_links(&a, &sa, &b, &sb, &cfg).unwrap();
+        let backward = discover_sequence_links(&b, &sb, &a, &sa, &cfg).unwrap();
+        let linked = |links: &[Link], from: &str, to: &str| {
+            links
+                .iter()
+                .any(|l| l.from.accession == from && l.to.accession == to)
+        };
+        for i in 1..12 {
+            assert!(linked(&forward, &a_acc[i], &b_acc[i]), "{}", a_acc[i]);
+            assert!(linked(&backward, &b_acc[i], &a_acc[i]), "{}", b_acc[i]);
+        }
+    }
+
+    #[test]
     fn text_links_connect_similar_descriptions() {
         let a = protein_source(
             "protkb",

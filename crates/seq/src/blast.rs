@@ -4,11 +4,13 @@
 //! pair; comparing every sequence field value of one source against every
 //! value of another source would be far too slow for link discovery. Like
 //! BLAST, [`BlastIndex`] first selects candidate subjects by counting shared
-//! k-mer seeds and only then runs the exact local alignment on the best
-//! candidates. `aladin-core` turns the resulting [`HomologyHit`]s into
-//! implicit links between objects.
+//! k-mer seeds and only then aligns the best candidates exactly. Each
+//! candidate is scored first, without a traceback; the full alignment runs
+//! only for a candidate whose score reaches [`BlastParams::min_score`].
+//! `aladin-core` turns the resulting [`HomologyHit`]s into implicit links
+//! between objects.
 
-use crate::align::{local_align, Alignment};
+use crate::align::{local_align, local_score, Alignment};
 use crate::alphabet::Alphabet;
 use crate::kmer::KmerIndex;
 use crate::score::ScoringScheme;
@@ -134,35 +136,13 @@ impl BlastIndex {
         if query.is_empty() || self.is_empty() {
             return Vec::new();
         }
-        let candidates = self.kmers.seed_counts(&query);
-        let mut hits = Vec::new();
-        for (ordinal, seeds) in candidates.into_iter().take(self.params.max_candidates) {
-            if seeds < self.params.min_seeds {
-                continue;
-            }
-            let subject = &self.sequences[ordinal];
-            let alignment = local_align(&query, subject, &self.scheme);
-            if alignment.score >= self.params.min_score
-                && alignment.identity() >= self.params.min_identity
-            {
-                hits.push(HomologyHit {
-                    subject_id: self
-                        .kmers
-                        .sequence_id(ordinal)
-                        .unwrap_or_default()
-                        .to_string(),
-                    seeds,
-                    alignment,
-                });
-            }
-        }
-        hits.sort_by(|a, b| {
-            b.alignment
-                .score
-                .cmp(&a.alignment.score)
-                .then_with(|| a.subject_id.cmp(&b.subject_id))
-        });
-        hits
+        let candidates = self
+            .kmers
+            .seed_counts(&query)
+            .into_iter()
+            .take(self.params.max_candidates)
+            .filter(|&(_, seeds)| seeds >= self.params.min_seeds);
+        self.hits(&query, candidates)
     }
 
     /// Exact (unseeded) search: Smith-Waterman against every subject. Used by
@@ -172,23 +152,40 @@ impl BlastIndex {
         if query.is_empty() {
             return Vec::new();
         }
-        let mut hits = Vec::new();
-        for (ordinal, subject) in self.sequences.iter().enumerate() {
-            let alignment = local_align(&query, subject, &self.scheme);
-            if alignment.score >= self.params.min_score
-                && alignment.identity() >= self.params.min_identity
-            {
-                hits.push(HomologyHit {
+        self.hits(
+            &query,
+            (0..self.sequences.len()).map(|ordinal| (ordinal, 0)),
+        )
+    }
+
+    /// Align the normalized `query` against each `(subject ordinal, seeds)`
+    /// candidate and keep the hits that reach both `min_score` and
+    /// `min_identity`, by descending score, then subject id. The score pass
+    /// decides first; the traceback runs only for a score that reaches
+    /// `min_score`, which drops nothing a full alignment would have kept.
+    fn hits(
+        &self,
+        query: &str,
+        candidates: impl Iterator<Item = (usize, usize)>,
+    ) -> Vec<HomologyHit> {
+        let mut hits: Vec<HomologyHit> = candidates
+            .filter_map(|(ordinal, seeds)| {
+                let subject = &self.sequences[ordinal];
+                if local_score(query, subject, &self.scheme) < self.params.min_score {
+                    return None;
+                }
+                let alignment = local_align(query, subject, &self.scheme);
+                (alignment.identity() >= self.params.min_identity).then(|| HomologyHit {
                     subject_id: self
                         .kmers
                         .sequence_id(ordinal)
                         .unwrap_or_default()
                         .to_string(),
-                    seeds: 0,
+                    seeds,
                     alignment,
-                });
-            }
-        }
+                })
+            })
+            .collect();
         hits.sort_by(|a, b| {
             b.alignment
                 .score
@@ -281,5 +278,29 @@ mod tests {
         let hits = idx.search("MKTAYIAKQRQLSFVKSHFSRQLEERLGLIEVQ");
         assert!(!hits.is_empty());
         assert_eq!(hits[0].subject_id, "prot_a");
+    }
+
+    #[test]
+    fn a_score_equal_to_min_score_is_a_hit() {
+        let mut idx = BlastIndex::new(Alphabet::Protein);
+        idx.add("prot_a", "MKTAYI");
+        assert_eq!(idx.params().min_score, 30);
+        for hits in [idx.search("MKTAYI"), idx.search_exact("MKTAYI")] {
+            assert_eq!(hits.len(), 1);
+            assert_eq!(hits[0].subject_id, "prot_a");
+            assert_eq!(hits[0].alignment.score, 30);
+        }
+    }
+
+    #[test]
+    fn non_ascii_values_are_indexed_and_searched() {
+        let note = "MKTAYIAKQR – isoform note, see ΑΒ entry MKTAYIAKQRQISFVKSHFSRQ";
+        let mut idx = BlastIndex::new(Alphabet::Protein);
+        idx.add("note", note);
+        idx.add("plain", "MKTAYIAKQRQISFVKSHFSRQ");
+        let hits = idx.search(note);
+        assert_eq!(hits[0].subject_id, "note");
+        assert!(hits.iter().any(|h| h.subject_id == "plain"));
+        assert_eq!(idx.search("MKTAYIAKQRQISFVKSHFSRQ").len(), 2);
     }
 }

@@ -58,17 +58,23 @@ impl KmerIndex {
         let ordinal = self.ids.len();
         self.ids.push(id.into());
         self.lengths.push(sequence.len());
-        let bytes = sequence.as_bytes();
-        if bytes.len() >= self.k {
-            for offset in 0..=bytes.len() - self.k {
-                let kmer = sequence[offset..offset + self.k].to_string();
-                self.postings
-                    .entry(kmer)
-                    .or_default()
-                    .push((ordinal, offset));
-            }
+        for (offset, kmer) in self.windows(sequence) {
+            self.postings
+                .entry(kmer.to_string())
+                .or_default()
+                .push((ordinal, offset));
         }
         ordinal
+    }
+
+    /// Every `k`-byte window of `sequence` with its byte offset, except the
+    /// windows that would cut a multi-byte character: a column that is 90%
+    /// sequence-like may still hold the odd non-ASCII note. ASCII input
+    /// yields every window.
+    fn windows<'a>(&self, sequence: &'a str) -> impl Iterator<Item = (usize, &'a str)> {
+        let k = self.k;
+        (0..(sequence.len() + 1).saturating_sub(k))
+            .filter_map(move |offset| Some((offset, sequence.get(offset..offset + k)?)))
     }
 
     /// All postings of a k-mer: `(sequence ordinal, offset)` pairs.
@@ -81,14 +87,10 @@ impl KmerIndex {
     /// count. This is the candidate-selection step of seeded homology search.
     pub fn seed_counts(&self, query: &str) -> Vec<(usize, usize)> {
         let mut counts: HashMap<usize, usize> = HashMap::new();
-        let bytes = query.as_bytes();
-        if bytes.len() >= self.k {
-            for offset in 0..=bytes.len() - self.k {
-                let kmer = &query[offset..offset + self.k];
-                if let Some(postings) = self.postings.get(kmer) {
-                    for (ordinal, _) in postings {
-                        *counts.entry(*ordinal).or_insert(0) += 1;
-                    }
+        for (_, kmer) in self.windows(query) {
+            if let Some(postings) = self.postings.get(kmer) {
+                for (ordinal, _) in postings {
+                    *counts.entry(*ordinal).or_insert(0) += 1;
                 }
             }
         }
@@ -153,5 +155,19 @@ mod tests {
     fn k_is_clamped() {
         let idx = KmerIndex::new(0);
         assert_eq!(idx.k(), 2);
+    }
+
+    #[test]
+    fn non_ascii_values_seed_without_panicking() {
+        let note = "MKTAYIAKQR – isoform note, see ΑΒ entry MKTAYIAKQRQISFVKSHFSRQ";
+        let mut idx = KmerIndex::new(3);
+        idx.add_sequence("note", note);
+        idx.add_sequence("plain", "MKTAYIAKQRQISFVKSHFSRQ");
+        // The three-byte dash cuts four windows, each Greek letter two.
+        assert_eq!(idx.windows(note).count(), note.len() - 2 - 8);
+        assert_eq!(idx.lookup("MKT"), &[(0, 0), (0, 44), (1, 0)]);
+        let counts = idx.seed_counts(note);
+        assert_eq!(counts[0].0, 0);
+        assert!(counts.iter().any(|&(o, _)| o == 1));
     }
 }

@@ -13,9 +13,13 @@
 //! * [`kmer`] — k-mer indexing of sequence collections (the seeding stage).
 //! * [`score`] — substitution scoring (match/mismatch for nucleotides, a
 //!   compact BLOSUM62-style matrix for proteins) and gap penalties.
-//! * [`align`] — Smith-Waterman local alignment (exact, quadratic).
+//! * [`align`] — Smith-Waterman local alignment: exact, quadratic time, one
+//!   row of scores plus one traceback byte per cell, substitution scores read
+//!   from a per-query table.
 //! * [`blast`] — seed-and-extend homology search over a k-mer index, the
-//!   heuristic used for link discovery at corpus scale.
+//!   heuristic used for link discovery at corpus scale. Each candidate's
+//!   score comes first; the traceback runs only for candidates whose score
+//!   reaches [`BlastParams::min_score`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

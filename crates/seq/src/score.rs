@@ -64,34 +64,50 @@ impl ScoringScheme {
 /// A compact BLOSUM62-flavoured substitution score.
 ///
 /// Rather than embedding the full 20×20 matrix, residues are grouped into the
-/// standard BLOSUM conservation groups; identical residues score +5,
+/// standard BLOSUM conservation groups; identical bytes score +5,
 /// same-group substitutions +1 and cross-group substitutions -2. This keeps
 /// the ranking behaviour of BLOSUM62 (identities ≫ conservative substitutions
 /// > non-conservative) which is all the homology-link heuristics depend on.
 fn blosum_like(a: u8, b: u8) -> i32 {
+    let group = BLOSUM_GROUP[usize::from(a)];
     if a == b {
-        return 5;
-    }
-    const GROUPS: &[&[u8]] = &[
-        b"ILMV", // aliphatic
-        b"FWY",  // aromatic
-        b"KRH",  // basic
-        b"DE",   // acidic
-        b"STNQ", // polar
-        b"AG",   // small
-        b"C",    // cysteine
-        b"P",    // proline
-    ];
-    let group_of = |x: u8| {
-        GROUPS
-            .iter()
-            .position(|g| g.contains(&x.to_ascii_uppercase()))
-    };
-    match (group_of(a), group_of(b)) {
-        (Some(ga), Some(gb)) if ga == gb => 1,
-        _ => -2,
+        5
+    } else if group != 0 && group == BLOSUM_GROUP[usize::from(b)] {
+        1
+    } else {
+        -2
     }
 }
+
+/// The BLOSUM conservation groups of [`blosum_like`].
+const GROUPS: [&[u8]; 8] = [
+    b"ILMV", // aliphatic
+    b"FWY",  // aromatic
+    b"KRH",  // basic
+    b"DE",   // acidic
+    b"STNQ", // polar
+    b"AG",   // small
+    b"C",    // cysteine
+    b"P",    // proline
+];
+
+/// The group of every byte, case-insensitive: 1 + its index in [`GROUPS`],
+/// or 0 for a byte in no group.
+static BLOSUM_GROUP: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut g = 0;
+    while g < GROUPS.len() {
+        let mut k = 0;
+        while k < GROUPS[g].len() {
+            let residue = GROUPS[g][k];
+            table[residue as usize] = g as u8 + 1;
+            table[residue.to_ascii_lowercase() as usize] = g as u8 + 1;
+            k += 1;
+        }
+        g += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
@@ -130,6 +146,31 @@ mod tests {
         for &a in b"ARNDCQEGHILKMFPSTWYV" {
             for &b in b"ARNDCQEGHILKMFPSTWYV" {
                 assert_eq!(blosum_like(a, b), blosum_like(b, a));
+            }
+        }
+    }
+
+    /// The group scan `blosum_like` replaced, kept as its oracle.
+    fn blosum_like_by_scan(a: u8, b: u8) -> i32 {
+        if a == b {
+            return 5;
+        }
+        let group_of = |x: u8| {
+            GROUPS
+                .iter()
+                .position(|g| g.contains(&x.to_ascii_uppercase()))
+        };
+        match (group_of(a), group_of(b)) {
+            (Some(ga), Some(gb)) if ga == gb => 1,
+            _ => -2,
+        }
+    }
+
+    #[test]
+    fn blosum_table_equals_the_group_scan_for_every_byte_pair() {
+        for a in 0..=u8::MAX {
+            for b in 0..=u8::MAX {
+                assert_eq!(blosum_like(a, b), blosum_like_by_scan(a, b), "{a} vs {b}");
             }
         }
     }
