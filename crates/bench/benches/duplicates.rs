@@ -1,5 +1,6 @@
 //! E8 — Section 4.5: duplicate detection across differently modelled sources,
-//! with the similarity-measure ablation.
+//! with the similarity-measure ablation, and the medium world's genedb–protkb
+//! pair, whose DNA and protein sequences never align closely enough to count.
 
 use aladin_core::config::{DuplicateCandidates, DuplicateMeasure};
 use aladin_core::duplicates::detect_duplicates;
@@ -80,6 +81,25 @@ fn bench_duplicates(c: &mut Criterion) {
             },
         );
     }
+    let medium = Corpus::generate(&CorpusConfig::medium(3));
+    let genedb = medium.source("genedb").unwrap().import().unwrap();
+    let protkb = medium.source("protkb").unwrap().import().unwrap();
+    let config = AladinConfig::default();
+    let genedb_structure = analyze_database(&genedb, &config).unwrap();
+    let protkb_structure = analyze_database(&protkb, &config).unwrap();
+    group.bench_function("genedb_vs_protkb", |b| {
+        b.iter(|| {
+            detect_duplicates(
+                &genedb,
+                &genedb_structure,
+                &protkb,
+                &protkb_structure,
+                &[],
+                &config,
+            )
+            .unwrap()
+        })
+    });
     group.finish();
 }
 

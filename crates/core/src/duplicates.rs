@@ -30,11 +30,16 @@
 //!
 //! Candidates are scored with the same similarity formula in both modes (a
 //! configurable text measure over the flattened annotation plus a
-//! sequence-identity ramp when both objects carry sequences). The blocked
-//! mode additionally skips the expensive sequence alignment when an
-//! admissible upper bound (sequence contribution assumed perfect) already
-//! stays below the duplicate threshold; that prune never affects an
-//! above-threshold pair. Blocking itself is still a heuristic: a pair whose
+//! sequence-identity ramp when both objects carry sequences). The ramp is 0
+//! for any sequence similarity at or below 0.8, so in both modes a pair whose
+//! composition bound ([`aladin_seq::bound`], over the raw bytes the alignment
+//! compares) stays below 0.8 gets a sequence component of 0 without being
+//! aligned. That filter changes no score, so the exhaustive mode stays
+//! bit-for-bit the pre-blocking pipeline. The blocked mode additionally
+//! skips the alignment when an admissible upper bound on the whole score
+//! (sequence contribution assumed perfect) already stays below the
+//! duplicate threshold; that prune never affects an above-threshold pair,
+//! and stays blocked-only. Blocking itself is still a heuristic: a pair whose
 //! only shared signal is a value carried by more than `duplicate_block_cap`
 //! objects is not generated unless the window catches it, so blocked recall
 //! is not *guaranteed* to equal exhaustive recall on adversarial data.
@@ -48,6 +53,7 @@ use crate::secondary::owner_accessions;
 use aladin_relstore::Database;
 use aladin_seq::align::local_align;
 use aladin_seq::alphabet::Alphabet;
+use aladin_seq::bound::{may_reach, Composition};
 use aladin_seq::score::ScoringScheme;
 use aladin_textmine::distance::normalized_levenshtein;
 use aladin_textmine::qgram::qgram_similarity;
@@ -231,14 +237,7 @@ fn identifier_bonus(a: &ObjectProfile, b: &ObjectProfile) -> f64 {
 /// loop can bound the final score before paying for the alignment.
 fn similarity_from_text(a: &ObjectProfile, b: &ObjectProfile, text_sim: f64) -> f64 {
     let seq_component = match (&a.sequence, &b.sequence) {
-        (Some(sa), Some(sb)) => {
-            let alphabet = Alphabet::detect(sa).unwrap_or(Alphabet::Protein);
-            let alignment = local_align(sa, sb, &ScoringScheme::for_alphabet(alphabet));
-            let shorter = sa.len().min(sb.len()).max(1);
-            let similarity = alignment.identity()
-                * (alignment.alignment_length.min(shorter) as f64 / shorter as f64);
-            Some(((similarity - 0.8) / 0.2).clamp(0.0, 1.0))
-        }
+        (Some(sa), Some(sb)) => Some(sequence_ramp(sa, sb)),
         _ => None,
     };
     let score = match seq_component {
@@ -246,6 +245,28 @@ fn similarity_from_text(a: &ObjectProfile, b: &ObjectProfile, text_sim: f64) -> 
         None => text_sim,
     };
     (score + identifier_bonus(a, b)).min(1.0)
+}
+
+/// Sequence similarity at and below which the sequence component of a
+/// duplicate score is 0; it ramps from there to 1 at similarity 1.0.
+const SEQUENCE_RAMP_START: f64 = 0.8;
+
+/// The sequence component of a duplicate score: the alignment's identity ×
+/// coverage of the shorter raw string, ramped over
+/// `[SEQUENCE_RAMP_START, 1.0]`. The ramp is exactly 0 for any similarity at
+/// or below its start, so a pair whose composition bound (over the raw bytes
+/// the alignment compares) stays below the start is 0 without aligning.
+fn sequence_ramp(sa: &str, sb: &str) -> f64 {
+    let shared = Composition::of(sa).shared(&Composition::of(sb));
+    if !may_reach(shared, sa.len(), sb.len(), SEQUENCE_RAMP_START) {
+        return 0.0;
+    }
+    let alphabet = Alphabet::detect(sa).unwrap_or(Alphabet::Protein);
+    let alignment = local_align(sa, sb, &ScoringScheme::for_alphabet(alphabet));
+    let shorter = sa.len().min(sb.len()).max(1);
+    let similarity =
+        alignment.identity() * (alignment.alignment_length.min(shorter) as f64 / shorter as f64);
+    ((similarity - SEQUENCE_RAMP_START) / 0.2).clamp(0.0, 1.0)
 }
 
 /// [`profile_similarity`] with the TF-IDF vectors of the two profiles already
@@ -637,6 +658,7 @@ mod tests {
     use super::*;
     use crate::pipeline::analyze_database;
     use aladin_relstore::{ColumnDef, TableSchema, Value};
+    use proptest::prelude::*;
 
     fn seq(base: &str, n: usize) -> String {
         base.repeat(n)
@@ -746,6 +768,33 @@ mod tests {
             min_distinct_values: 2,
             duplicate_threshold: 0.5,
             ..Default::default()
+        }
+    }
+
+    /// The sequence ramp as it was computed before the composition bound:
+    /// always aligned.
+    fn aligned_ramp(sa: &str, sb: &str) -> f64 {
+        let alphabet = Alphabet::detect(sa).unwrap_or(Alphabet::Protein);
+        let alignment = local_align(sa, sb, &ScoringScheme::for_alphabet(alphabet));
+        let shorter = sa.len().min(sb.len()).max(1);
+        let similarity = alignment.identity()
+            * (alignment.alignment_length.min(shorter) as f64 / shorter as f64);
+        ((similarity - 0.8) / 0.2).clamp(0.0, 1.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_bounded_ramp_equals_the_aligned_one(
+            a in prop_oneof!["[ACGT]{0,60}", "[ACDEFGHIKLMNPQRSTVWY]{0,60}", "[ACGTacgt é–]{0,40}"],
+            tail in "[ACGTMKLV]{0,12}",
+            keep in 0usize..60,
+        ) {
+            // A prefix of `a` plus a tail: similarities on both sides of 0.8.
+            let b: String = a.chars().take(keep).chain(tail.chars()).collect();
+            prop_assert_eq!(sequence_ramp(&a, &b).to_bits(), aligned_ramp(&a, &b).to_bits());
+            prop_assert_eq!(sequence_ramp(&b, &a).to_bits(), aligned_ramp(&b, &a).to_bits());
         }
     }
 

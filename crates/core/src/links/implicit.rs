@@ -67,12 +67,34 @@ where
     Ok(out)
 }
 
+/// The alphabet most of `values` detect as, ignoring values that detect as
+/// none; protein when none detects. A column counts as a sequence column
+/// when 90% of its values fit an alphabet, so any one value, the first
+/// included, may be a free-text note.
+fn majority_alphabet(values: &[(ObjectRef, String)]) -> Alphabet {
+    let detected: Vec<Alphabet> = values
+        .iter()
+        .filter_map(|(_, v)| Alphabet::detect(v))
+        .collect();
+    // `max_by_key` keeps the last of equal counts: ties go to the more
+    // specific alphabet, DNA before RNA before protein.
+    [Alphabet::Protein, Alphabet::Rna, Alphabet::Dna]
+        .into_iter()
+        .map(|a| (detected.iter().filter(|&&d| d == a).count(), a))
+        .filter(|&(n, _)| n > 0)
+        .max_by_key(|&(n, _)| n)
+        .map_or(Alphabet::Protein, |(_, a)| a)
+}
+
 /// Discover sequence-homology links between two sources.
 ///
 /// Sequence fields are recognized from the column statistics ("finding
 /// sequence fields is simple, as those contain only strings over a fixed
-/// alphabet"); the target side is indexed with the seeded homology search and
-/// every source sequence is queried against it.
+/// alphabet"); the target side is indexed with the seeded homology search
+/// under the alphabet most target values detect as, and every source
+/// sequence is queried against it. The search takes
+/// [`AladinConfig::sequence_link_threshold`] as its similarity floor, so
+/// candidates that cannot reach it are dropped before they are aligned.
 pub fn discover_sequence_links(
     from_db: &Database,
     from_structure: &SourceStructure,
@@ -86,9 +108,7 @@ pub fn discover_sequence_links(
         return Ok(Vec::new());
     }
 
-    // Pick the alphabet from the first target sequence.
-    let alphabet = Alphabet::detect(&to_seqs[0].1).unwrap_or(Alphabet::Protein);
-    let mut index = BlastIndex::new(alphabet);
+    let mut index = BlastIndex::new(majority_alphabet(&to_seqs));
     let mut target_objects: HashMap<String, (ObjectRef, usize)> = HashMap::new();
     for (i, (obj, seq)) in to_seqs.iter().enumerate() {
         let id = format!("{i}");
@@ -99,7 +119,9 @@ pub fn discover_sequence_links(
     let mut links = Vec::new();
     let mut seen: HashSet<(ObjectRef, ObjectRef)> = HashSet::new();
     for (from_obj, seq) in &from_seqs {
-        for hit in index.search(seq) {
+        // The floor reaches the search, so a candidate whose composition
+        // cannot reach the threshold is never scored.
+        for hit in index.search_similar(seq, config.sequence_link_threshold) {
             let (to_obj, to_len) = match target_objects.get(&hit.subject_id) {
                 Some(t) => t,
                 None => continue,
@@ -418,6 +440,73 @@ mod tests {
             assert!(linked(&forward, &a_acc[i], &b_acc[i]), "{}", a_acc[i]);
             assert!(linked(&backward, &b_acc[i], &a_acc[i]), "{}", b_acc[i]);
         }
+    }
+
+    #[test]
+    fn a_note_in_the_first_target_row_does_not_change_the_alphabet() {
+        // Twenty distinct pseudo-random 90-nt genes, each stored in both
+        // sources; the target also holds one free-text note.
+        let mut state = 11u32;
+        let mut base = || {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            char::from(b"ACGT"[(state >> 16) as usize % 4])
+        };
+        let genes: Vec<String> = (0..20).map(|_| (0..90).map(|_| base()).collect()).collect();
+        let note = "ACGTTGCA see entry GB0001 for the full clone sequence";
+        let rows = |prefix: &str| -> Vec<(String, String)> {
+            genes
+                .iter()
+                .enumerate()
+                .map(|(i, g)| (format!("{prefix}{:04}", 1 + i), g.clone()))
+                .collect()
+        };
+        let source = |name: &str, rows: &[(String, String)]| {
+            let entries: Vec<(&str, &str, &str)> = rows
+                .iter()
+                .map(|(acc, s)| (acc.as_str(), "uncharacterized gene", s.as_str()))
+                .collect();
+            protein_source(name, &entries)
+        };
+        let from = source("genedb", &rows("GA"));
+        let note_row = ("GB9999".to_string(), note.to_string());
+        let mut note_last = rows("GB");
+        note_last.push(note_row.clone());
+        let mut note_first = vec![note_row];
+        note_first.extend(rows("GB"));
+
+        let cfg = config();
+        let sf = analyze_database(&from, &cfg).unwrap();
+        let links_with = |target_rows: &[(String, String)]| {
+            let to = source("archive", target_rows);
+            let st = analyze_database(&to, &cfg).unwrap();
+            assert!(st.column_stats.iter().any(|cs| cs.looks_like_sequence()));
+            let mut links: Vec<(String, String, u64, String)> =
+                discover_sequence_links(&from, &sf, &to, &st, &cfg)
+                    .unwrap()
+                    .into_iter()
+                    .map(|l| {
+                        (
+                            l.from.accession,
+                            l.to.accession,
+                            l.score.to_bits(),
+                            l.evidence,
+                        )
+                    })
+                    .collect();
+            links.sort();
+            links
+        };
+        let last = links_with(&note_last);
+        assert_eq!(last.len(), 20);
+        for (i, (from, to, score, evidence)) in last.iter().enumerate() {
+            assert_eq!(
+                (from, to),
+                (&format!("GA{:04}", 1 + i), &format!("GB{:04}", 1 + i))
+            );
+            assert_eq!(f64::from_bits(*score), 1.0);
+            assert_eq!(evidence, "alignment score 180 identity 1.00");
+        }
+        assert_eq!(links_with(&note_first), last);
     }
 
     #[test]

@@ -9,9 +9,17 @@
 //! only for a candidate whose score reaches [`BlastParams::min_score`].
 //! `aladin-core` turns the resulting [`HomologyHit`]s into implicit links
 //! between objects.
+//!
+//! A caller that keeps only hits of some [`HomologyHit::similarity`] calls
+//! [`BlastIndex::search_similar`] with that floor. It drops a seeded
+//! candidate before the score pass when the [`crate::bound`] on its byte
+//! composition shows the similarity cannot reach the floor, so it returns
+//! exactly the hits of [`BlastIndex::search`] whose similarity can. The
+//! index counts each subject's bytes once, when the subject is added.
 
 use crate::align::{local_align, local_score, Alignment};
 use crate::alphabet::Alphabet;
+use crate::bound::{may_reach, Composition};
 use crate::kmer::KmerIndex;
 use crate::score::ScoringScheme;
 use serde::{Deserialize, Serialize};
@@ -83,6 +91,8 @@ pub struct BlastIndex {
     scheme: ScoringScheme,
     kmers: KmerIndex,
     sequences: Vec<String>,
+    /// The byte composition of each normalized subject, by ordinal.
+    compositions: Vec<Composition>,
 }
 
 impl BlastIndex {
@@ -94,6 +104,7 @@ impl BlastIndex {
             scheme: ScoringScheme::for_alphabet(alphabet),
             params,
             sequences: Vec::new(),
+            compositions: Vec::new(),
         }
     }
 
@@ -104,6 +115,7 @@ impl BlastIndex {
             scheme,
             params,
             sequences: Vec::new(),
+            compositions: Vec::new(),
         }
     }
 
@@ -126,22 +138,46 @@ impl BlastIndex {
     pub fn add(&mut self, id: impl Into<String>, sequence: &str) {
         let normalized = crate::alphabet::normalize_sequence(sequence);
         self.kmers.add_sequence(id, &normalized);
+        self.compositions.push(Composition::of(&normalized));
         self.sequences.push(normalized);
     }
 
     /// Search for homologs of `query`, returning hits sorted by descending
     /// alignment score.
     pub fn search(&self, query: &str) -> Vec<HomologyHit> {
+        self.seeded(query, None)
+    }
+
+    /// [`search`](Self::search) for a caller that keeps only hits whose
+    /// [`HomologyHit::similarity`] reaches `min_similarity`, with the raw
+    /// query and subject lengths or any lengths at least the normalized
+    /// ones. Returns every such hit of `search`, with identical fields, and
+    /// nothing `search` does not return. A candidate whose composition
+    /// bound falls below the floor is dropped before its score pass.
+    pub fn search_similar(&self, query: &str, min_similarity: f64) -> Vec<HomologyHit> {
+        self.seeded(query, Some(min_similarity))
+    }
+
+    /// The seeded search, with the composition bound applied when a
+    /// similarity floor is given.
+    fn seeded(&self, query: &str, min_similarity: Option<f64>) -> Vec<HomologyHit> {
         let query = crate::alphabet::normalize_sequence(query);
         if query.is_empty() || self.is_empty() {
             return Vec::new();
         }
+        let bound = min_similarity.map(|floor| (floor, Composition::of(&query)));
         let candidates = self
             .kmers
             .seed_counts(&query)
             .into_iter()
             .take(self.params.max_candidates)
-            .filter(|&(_, seeds)| seeds >= self.params.min_seeds);
+            .filter(|&(_, seeds)| seeds >= self.params.min_seeds)
+            .filter(|&(ordinal, _)| {
+                bound.as_ref().is_none_or(|(floor, composition)| {
+                    let shared = composition.shared(&self.compositions[ordinal]);
+                    may_reach(shared, query.len(), self.sequences[ordinal].len(), *floor)
+                })
+            });
         self.hits(&query, candidates)
     }
 
@@ -199,6 +235,8 @@ impl BlastIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn dna_index() -> BlastIndex {
         let mut idx = BlastIndex::new(Alphabet::Dna);
@@ -302,5 +340,71 @@ mod tests {
         assert_eq!(hits[0].subject_id, "note");
         assert!(hits.iter().any(|h| h.subject_id == "plain"));
         assert_eq!(idx.search("MKTAYIAKQRQISFVKSHFSRQ").len(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bounded_search_keeps_exactly_the_hits_that_can_reach_the_floor(
+            query in prop_oneof![
+                "[ACGT]{8,60}",
+                "[ACDEFGHIKLMNPQRSTVWY]{6,50}",
+                "[ACGTacgt \t]{8,50}",
+                "[MKTAYIé–]{4,30}",
+            ],
+            cuts in prop::collection::vec((0usize..64, 0usize..64, "[ACGTMKLVé ]{0,30}"), 0..10),
+            floor in 0.0f64..=1.0,
+            nucleotide in any::<bool>(),
+        ) {
+            let alphabet = if nucleotide { Alphabet::Dna } else { Alphabet::Protein };
+            let mut idx = BlastIndex::new(alphabet);
+            // Subjects are query fragments with a random tail, so shared
+            // seeds and every degree of coverage and identity occur.
+            let mut raw_lengths = HashMap::new();
+            for (n, (a, b, tail)) in cuts.iter().enumerate() {
+                let fragment = query.get(*a.min(b)..*a.max(b)).unwrap_or(&query);
+                let subject = format!("{fragment}{tail}");
+                raw_lengths.insert(n.to_string(), subject.len());
+                idx.add(n.to_string(), &subject);
+            }
+            let all = idx.search(&query);
+            for f in [floor, 0.0, 0.5, 1.0] {
+                let bounded = idx.search_similar(&query, f);
+                // Nothing `search` does not return, in the same order.
+                let mut rest = all.iter();
+                for hit in &bounded {
+                    prop_assert!(rest.any(|h| h == hit), "{hit:?} not from search");
+                }
+                // Every hit that reaches the floor.
+                for hit in &all {
+                    let sim = hit.similarity(query.len(), raw_lengths[&hit.subject_id]);
+                    if sim >= f {
+                        prop_assert!(bounded.contains(hit), "{hit:?} ({sim}) dropped at {f}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_search_skips_subjects_that_cannot_reach_the_floor() {
+        let mut idx = BlastIndex::new(Alphabet::Dna);
+        idx.add("same", "ACGTACGTACGTACGTACGT");
+        // Shares the seeds, but only 12 of its 20 bytes can pair with the
+        // query's: at most 0.6 similarity.
+        idx.add("half", "ACGTACGTACGTNNNNNNNN");
+        let ids = |hits: Vec<HomologyHit>| -> Vec<String> {
+            hits.into_iter().map(|h| h.subject_id).collect()
+        };
+        assert_eq!(ids(idx.search("ACGTACGTACGTACGTACGT")), ["same", "half"]);
+        assert_eq!(
+            ids(idx.search_similar("ACGTACGTACGTACGTACGT", 0.6)),
+            ["same", "half"]
+        );
+        assert_eq!(
+            ids(idx.search_similar("ACGTACGTACGTACGTACGT", 0.61)),
+            ["same"]
+        );
     }
 }

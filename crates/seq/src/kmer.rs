@@ -12,8 +12,6 @@ pub struct KmerIndex {
     postings: HashMap<String, Vec<(usize, usize)>>,
     /// Registered sequence ids, by ordinal.
     ids: Vec<String>,
-    /// Registered sequence lengths, by ordinal.
-    lengths: Vec<usize>,
 }
 
 impl KmerIndex {
@@ -23,7 +21,6 @@ impl KmerIndex {
             k: k.max(2),
             postings: HashMap::new(),
             ids: Vec::new(),
-            lengths: Vec::new(),
         }
     }
 
@@ -32,24 +29,9 @@ impl KmerIndex {
         self.k
     }
 
-    /// Number of indexed sequences.
-    pub fn sequence_count(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Number of distinct k-mers.
-    pub fn kmer_count(&self) -> usize {
-        self.postings.len()
-    }
-
     /// The id of a sequence by ordinal.
     pub fn sequence_id(&self, ordinal: usize) -> Option<&str> {
         self.ids.get(ordinal).map(String::as_str)
-    }
-
-    /// The length of a sequence by ordinal.
-    pub fn sequence_length(&self, ordinal: usize) -> Option<usize> {
-        self.lengths.get(ordinal).copied()
     }
 
     /// Add a sequence under an identifier; returns its ordinal. Sequences
@@ -57,7 +39,6 @@ impl KmerIndex {
     pub fn add_sequence(&mut self, id: impl Into<String>, sequence: &str) -> usize {
         let ordinal = self.ids.len();
         self.ids.push(id.into());
-        self.lengths.push(sequence.len());
         for (offset, kmer) in self.windows(sequence) {
             self.postings
                 .entry(kmer.to_string())
@@ -115,12 +96,23 @@ mod tests {
     #[test]
     fn counts_and_ids() {
         let idx = index();
-        assert_eq!(idx.sequence_count(), 3);
         assert_eq!(idx.k(), 4);
         assert_eq!(idx.sequence_id(0), Some("s1"));
+        assert_eq!(idx.sequence_id(2), Some("s3"));
+        assert_eq!(idx.sequence_id(3), None);
         assert_eq!(idx.sequence_id(9), None);
-        assert_eq!(idx.sequence_length(1), Some(12));
-        assert!(idx.kmer_count() > 0);
+        // All nine windows of s2 are TTTT; s3 ends in one.
+        let offsets = |ordinal| -> Vec<usize> {
+            idx.lookup("TTTT")
+                .iter()
+                .filter(|&&(o, _)| o == ordinal)
+                .map(|&(_, offset)| offset)
+                .collect()
+        };
+        assert_eq!(offsets(1), (0..9).collect::<Vec<_>>());
+        assert_eq!(offsets(2), [8]);
+        // Each of the query's two windows counts every posting it meets.
+        assert_eq!(idx.seed_counts("TTTTT"), [(1, 18), (2, 2)]);
     }
 
     #[test]
@@ -145,9 +137,11 @@ mod tests {
     #[test]
     fn short_sequences_and_queries() {
         let mut idx = KmerIndex::new(5);
-        idx.add_sequence("tiny", "ACG");
-        assert_eq!(idx.sequence_count(), 1);
-        assert_eq!(idx.kmer_count(), 0);
+        // Registered under an ordinal, but with no k-mers to seed from.
+        assert_eq!(idx.add_sequence("tiny", "ACG"), 0);
+        assert_eq!(idx.sequence_id(0), Some("tiny"));
+        assert!(idx.lookup("ACG").is_empty());
+        assert!(idx.seed_counts("ACGTA").is_empty());
         assert!(idx.seed_counts("AC").is_empty());
     }
 

@@ -19,7 +19,13 @@
 //! * [`blast`] — seed-and-extend homology search over a k-mer index, the
 //!   heuristic used for link discovery at corpus scale. Each candidate's
 //!   score comes first; the traceback runs only for candidates whose score
-//!   reaches [`BlastParams::min_score`].
+//!   reaches [`BlastParams::min_score`]. [`BlastIndex::search_similar`]
+//!   takes the caller's similarity floor and drops, before any scoring, a
+//!   candidate whose composition bound cannot reach it.
+//! * [`bound`] — that bound: the identities two sequences can share, from
+//!   their byte counts, over the shorter length. Duplicate scoring in
+//!   `aladin-core` uses it too, to skip alignments whose result it would
+//!   discard.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,6 +33,7 @@
 pub mod align;
 pub mod alphabet;
 pub mod blast;
+pub mod bound;
 pub mod kmer;
 pub mod score;
 
