@@ -1,12 +1,11 @@
 //! Accounting of human effort: the "cost of integration" row of Table 1.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// Counts of human-specified artifacts required to integrate a corpus with a
 /// given approach. ALADIN's claim is that all of these except
 /// `parsers_written` are (almost) zero for it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HumanEffort {
     /// Import parsers that had to be written or configured per source.
     pub parsers_written: usize,

@@ -8,10 +8,9 @@
 //! to the specification counts of the other approaches.
 
 use crate::cost::HumanEffort;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the curation cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CurationModel {
     /// Actions needed to read, verify and annotate one newly seen object.
     pub actions_per_new_object: usize,

@@ -9,10 +9,9 @@
 
 use crate::cost::HumanEffort;
 use aladin_relstore::{ColumnDef, DataType, Database, RelResult, Table, TableSchema, Value};
-use serde::{Deserialize, Serialize};
 
 /// The global (mediated) schema: a flat list of concept attributes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalSchema {
     /// Name of the global concept (e.g. "protein").
     pub concept: String,
@@ -21,7 +20,7 @@ pub struct GlobalSchema {
 }
 
 /// One hand-written mapping: a source attribute feeding a global attribute.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mapping {
     /// Source (database) name.
     pub source: String,

@@ -12,11 +12,10 @@ use crate::cost::HumanEffort;
 use aladin_core::metadata::{Link, LinkKind, ObjectRef};
 use aladin_relstore::Database;
 use aladin_textmine::inverted::{InvertedIndex, SearchFilter};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Manual specification of one source (the Icarus-parser equivalent).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SourceSpec {
     /// Source name.
     pub source: String,
@@ -38,7 +37,7 @@ pub struct SourceSpec {
 
 impl SourceSpec {
     /// The number of hand-declared schema elements in this specification.
-    pub fn declared_elements(&self) -> usize {
+    fn declared_elements(&self) -> usize {
         // primary table + accession field + join column (if any) + each
         // indexed field + each link field (field and target count as one
         // declaration each).

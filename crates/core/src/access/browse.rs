@@ -11,10 +11,9 @@ use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkKind, Neighbour, ObjectRef};
 use crate::pipeline::Aladin;
 use crate::secondary::owner_accessions;
-use serde::{Deserialize, Serialize};
 
 /// One row of secondary annotation displayed with an object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotationRow {
     /// The secondary table the row comes from.
     pub table: String,
@@ -23,7 +22,7 @@ pub struct AnnotationRow {
 }
 
 /// A browsable view of one primary object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectView {
     /// The object.
     pub object: ObjectRef,

@@ -12,10 +12,9 @@ use crate::metadata::ObjectRef;
 use crate::pipeline::Aladin;
 use crate::secondary::owner_accessions;
 use aladin_textmine::inverted::{InvertedIndex, SearchFilter, SearchHit};
-use serde::{Deserialize, Serialize};
 
 /// A ranked search result resolved to a primary object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectHit {
     /// The matching object.
     pub object: ObjectRef,

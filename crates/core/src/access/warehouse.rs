@@ -59,7 +59,6 @@ use crate::pipeline::Aladin;
 use aladin_relstore::expr::like_match;
 use aladin_relstore::plan::{fingerprint_bytes, SortKey};
 use aladin_relstore::{Database, Expr, LogicalPlan, Table, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::OnceLock;
 
@@ -361,7 +360,7 @@ impl Warehouse {
 // ---------------------------------------------------------------------------
 
 /// How a record entered the result set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RecordOrigin {
     /// Part of the scanned object population.
     Scan,
@@ -385,7 +384,7 @@ pub enum RecordOrigin {
 
 /// One materialized result of an [`ObjectQuery`]: the shared result model of
 /// all three access modes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectRecord {
     /// The object.
     pub object: ObjectRef,
@@ -419,14 +418,14 @@ impl ObjectRecord {
 /// semantics: `LIKE`/`contains` are case-insensitive, `equals` compares the
 /// rendered value exactly (compiled through [`Value::infer`] so numeric
 /// literals hit numeric columns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttrFilter {
     column: String,
     op: FilterOp,
     value: String,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum FilterOp {
     Equals,
     Contains,
@@ -649,11 +648,6 @@ impl<'w> ObjectQuery<'w> {
     /// the serving layer).
     pub fn spec(&self) -> &QuerySpec {
         &self.spec
-    }
-
-    /// Unbind the query from the warehouse, keeping the owned spec.
-    pub fn into_spec(self) -> QuerySpec {
-        self.spec
     }
 
     /// Keep only objects of one source (applies at this point of the chain:
@@ -1138,11 +1132,6 @@ impl ObjectCursor<'_> {
     pub fn is_empty(&self) -> bool {
         self.hits.is_empty()
     }
-
-    /// Total number of pages.
-    pub fn page_count(&self) -> usize {
-        self.hits.len().div_ceil(self.page_size)
-    }
 }
 
 impl Iterator for ObjectCursor<'_> {
@@ -1390,7 +1379,6 @@ pub(crate) mod tests {
 
         let mut cursor = w.scan().cursor(4).unwrap();
         assert_eq!(cursor.len(), 6);
-        assert_eq!(cursor.page_count(), 2);
         assert!(!cursor.is_empty());
         let first = cursor.next().unwrap().unwrap();
         let second = cursor.next().unwrap().unwrap();
@@ -1675,7 +1663,6 @@ pub(crate) mod tests {
             .limit(5);
         assert_eq!(chained.spec(), &spec);
         assert_eq!(via_spec, chained.fetch().unwrap());
-        assert_eq!(chained.into_spec(), spec);
 
         // Fingerprints are stable, equality-faithful, and sensitive to every
         // component of the spec.

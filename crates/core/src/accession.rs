@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 /// Decide whether a profiled unique column qualifies as an accession-number
 /// candidate under the configured thresholds.
-pub fn is_accession_candidate(stats: &ColumnStats, config: &AladinConfig) -> bool {
+fn is_accession_candidate(stats: &ColumnStats, config: &AladinConfig) -> bool {
     if stats.non_null_count() == 0 || !stats.is_unique {
         return false;
     }

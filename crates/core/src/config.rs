@@ -1,9 +1,7 @@
 //! Configuration of the ALADIN discovery heuristics.
 
-use serde::{Deserialize, Serialize};
-
 /// How primary relations are selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrimarySelection {
     /// Exactly one primary relation per source: the accession-carrying table
     /// with the highest in-degree (the paper's default heuristic).
@@ -15,7 +13,7 @@ pub enum PrimarySelection {
 }
 
 /// Text-similarity measure used for duplicate scoring (ablated in E8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DuplicateMeasure {
     /// Normalized Levenshtein distance over concatenated annotation.
     EditDistance,
@@ -26,7 +24,7 @@ pub enum DuplicateMeasure {
 }
 
 /// How duplicate candidate pairs are generated before scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DuplicateCandidates {
     /// Nearest neighbours in TF-IDF space: every object is compared against
     /// every document of both sources (quadratic in the number of objects).
@@ -38,7 +36,7 @@ pub enum DuplicateCandidates {
 }
 
 /// Pruning switches for link discovery (ablated in E5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PruningConfig {
     /// Skip purely numeric attributes as link sources ("to avoid
     /// misinterpretation of surrogate keys").
@@ -80,7 +78,7 @@ impl PruningConfig {
 
 /// Error-handling policy of a batch integration
 /// ([`crate::pipeline::Aladin::add_databases_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchErrorPolicy {
     /// The first failing source aborts the whole batch and the warehouse is
     /// left exactly as before the call (all-or-nothing).
@@ -92,9 +90,9 @@ pub enum BatchErrorPolicy {
 
 /// Deterministic fault injection for the integration pipeline, used by the
 /// fault-tolerance test harness. All fields are plain data (source names and
-/// source pairs), so the config stays serializable and comparable; an empty
-/// injection (the default) is completely inert.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// source pairs), so the config stays comparable; an empty injection (the
+/// default) is completely inert.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultInjection {
     /// Per-source analysis (steps 1–3) of these sources fails with a
     /// discovery error.
@@ -115,15 +113,6 @@ pub struct FaultInjection {
 }
 
 impl FaultInjection {
-    /// True when no fault is configured.
-    pub fn is_inert(&self) -> bool {
-        self.fail_analysis.is_empty()
-            && self.panic_analysis.is_empty()
-            && self.fail_pairs.is_empty()
-            && self.panic_pairs.is_empty()
-            && self.panic_cache_build.is_empty()
-    }
-
     /// True when `pairs` contains `(a, b)` in either order.
     pub fn pair_listed(pairs: &[(String, String)], a: &str, b: &str) -> bool {
         pairs
@@ -134,7 +123,7 @@ impl FaultInjection {
 
 /// Configuration of all discovery heuristics, with the paper's thresholds as
 /// defaults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AladinConfig {
     // -- accession candidate detection (Section 4.2) --
     /// Minimum value length for an accession candidate (paper: 4, the PDB
@@ -155,12 +144,6 @@ pub struct AladinConfig {
     /// Minimum fraction of rows with a non-null value for a column to be an
     /// accession candidate.
     pub accession_min_coverage: f64,
-
-    // -- relationship discovery --
-    /// Maximum number of rows scanned per column for inclusion-dependency
-    /// mining; 0 means no sampling. (Section 6.2 mentions sampling as the
-    /// mitigation for the quadratic cost.)
-    pub relationship_sample_rows: usize,
 
     // -- primary relation selection --
     /// Single vs. multiple primary relations.
@@ -261,7 +244,6 @@ impl Default for AladinConfig {
             accession_require_non_digit: true,
             accession_reject_whitespace: true,
             accession_min_coverage: 0.9,
-            relationship_sample_rows: 0,
             primary_selection: PrimarySelection::Single,
             pruning: PruningConfig::default(),
             link_min_matches: 2,
@@ -399,7 +381,7 @@ mod tests {
         let c = AladinConfig::default();
         assert_eq!(c.batch_policy, BatchErrorPolicy::FailFast);
         assert_eq!(c.import_error_budget, 0);
-        assert!(c.faults.is_inert());
+        assert_eq!(c.faults, FaultInjection::default());
         let opts = c.import_options();
         assert_eq!(opts.error_budget, 0);
         assert_eq!(opts.retry.max_attempts, 3);
@@ -417,14 +399,5 @@ mod tests {
         assert!(FaultInjection::pair_listed(&pairs, "a", "b"));
         assert!(FaultInjection::pair_listed(&pairs, "b", "a"));
         assert!(!FaultInjection::pair_listed(&pairs, "a", "c"));
-        let mut f = FaultInjection::default();
-        assert!(f.is_inert());
-        f.panic_pairs = pairs;
-        assert!(!f.is_inert());
-        let cache_fault = FaultInjection {
-            panic_cache_build: vec!["protkb".into()],
-            ..Default::default()
-        };
-        assert!(!cache_fault.is_inert());
     }
 }

@@ -64,7 +64,7 @@ use std::collections::{HashMap, HashSet};
 /// scoring: its accession, all its scalar annotation values concatenated, and
 /// its sequence (if any).
 #[derive(Debug, Clone)]
-pub struct ObjectProfile {
+struct ObjectProfile {
     /// The object.
     pub object: ObjectRef,
     /// Concatenated textual annotation (primary-row values plus secondary
@@ -78,10 +78,7 @@ pub struct ObjectProfile {
 }
 
 /// Build the profiles of all primary objects of a source.
-pub fn build_profiles(
-    db: &Database,
-    structure: &SourceStructure,
-) -> AladinResult<Vec<ObjectProfile>> {
+fn build_profiles(db: &Database, structure: &SourceStructure) -> AladinResult<Vec<ObjectProfile>> {
     let mut profiles: HashMap<String, ObjectProfile> = HashMap::new();
 
     for primary in &structure.primary_relations {
@@ -178,7 +175,9 @@ fn append_value(profile: &mut ObjectProfile, rendered: &str) {
     profile.text.push_str(rendered);
 }
 
-/// Score the similarity of two profiles in `[0, 1]`.
+/// Score the similarity of two profiles in `[0, 1]`, given their TF-IDF
+/// vectors under [`DuplicateMeasure::TfIdf`] (without vectors that measure
+/// falls back to q-grams).
 ///
 /// * Equal public accessions across sources (the PDB three-flavour case) are
 ///   conclusive.
@@ -191,17 +190,36 @@ fn append_value(profile: &mut ObjectProfile, rendered: &str) {
 ///   deliberately *not* conclusive, because a referencing object (an
 ///   interaction listing a protein as participant) shares that identifier
 ///   without being a duplicate.
-pub fn profile_similarity(
+///
+/// With a `floor`, a pair whose admissible upper bound stays below it scores
+/// `None` before the alignment is paid for: even a perfect sequence match
+/// cannot lift the score past `0.5·text + 0.5 + bonus`.
+fn profile_similarity(
     a: &ObjectProfile,
     b: &ObjectProfile,
     measure: DuplicateMeasure,
-    model: Option<&TfIdfModel>,
-) -> f64 {
-    let vectors = match (measure, model) {
-        (DuplicateMeasure::TfIdf, Some(m)) => Some((m.vectorize(&a.text), m.vectorize(&b.text))),
-        _ => None,
+    vectors: Option<(&SparseVector, &SparseVector)>,
+    floor: Option<f64>,
+) -> Option<f64> {
+    if a.object.accession == b.object.accession {
+        return Some(1.0);
+    }
+    let text_sim = text_similarity(a, b, measure, vectors);
+    let bonus = identifier_bonus(a, b);
+    if let Some(floor) = floor {
+        let upper = match (&a.sequence, &b.sequence) {
+            (Some(_), Some(_)) => 0.5 * text_sim + 0.5 + bonus,
+            _ => text_sim + bonus,
+        };
+        if upper < floor {
+            return None;
+        }
+    }
+    let score = match (&a.sequence, &b.sequence) {
+        (Some(sa), Some(sb)) => 0.5 * text_sim + 0.5 * sequence_ramp(sa, sb),
+        _ => text_sim,
     };
-    profile_similarity_prevectorized(a, b, measure, vectors.as_ref().map(|(va, vb)| (va, vb)))
+    Some((score + bonus).min(1.0))
 }
 
 /// The text-similarity component of the score under the configured measure.
@@ -231,22 +249,6 @@ fn identifier_bonus(a: &ObjectProfile, b: &ObjectProfile) -> f64 {
     }
 }
 
-/// Complete a similarity score from an already-computed text component:
-/// sequence-identity ramp (when both objects carry sequences) plus the
-/// shared-identifier bonus. Split from [`text_similarity`] so the scoring
-/// loop can bound the final score before paying for the alignment.
-fn similarity_from_text(a: &ObjectProfile, b: &ObjectProfile, text_sim: f64) -> f64 {
-    let seq_component = match (&a.sequence, &b.sequence) {
-        (Some(sa), Some(sb)) => Some(sequence_ramp(sa, sb)),
-        _ => None,
-    };
-    let score = match seq_component {
-        Some(s) => 0.5 * text_sim + 0.5 * s,
-        None => text_sim,
-    };
-    (score + identifier_bonus(a, b)).min(1.0)
-}
-
 /// Sequence similarity at and below which the sequence component of a
 /// duplicate score is 0; it ramps from there to 1 at similarity 1.0.
 const SEQUENCE_RAMP_START: f64 = 0.8;
@@ -267,22 +269,6 @@ fn sequence_ramp(sa: &str, sb: &str) -> f64 {
     let similarity =
         alignment.identity() * (alignment.alignment_length.min(shorter) as f64 / shorter as f64);
     ((similarity - SEQUENCE_RAMP_START) / 0.2).clamp(0.0, 1.0)
-}
-
-/// [`profile_similarity`] with the TF-IDF vectors of the two profiles already
-/// computed. Vectorizing each profile once and scoring many candidate pairs
-/// against the cached vectors is what makes the scoring pass linear in the
-/// candidate count instead of re-tokenizing the annotation per pair.
-fn profile_similarity_prevectorized(
-    a: &ObjectProfile,
-    b: &ObjectProfile,
-    measure: DuplicateMeasure,
-    vectors: Option<(&SparseVector, &SparseVector)>,
-) -> f64 {
-    if a.object.accession == b.object.accession {
-        return 1.0;
-    }
-    similarity_from_text(a, b, text_similarity(a, b, measure, vectors))
 }
 
 /// How many leading characters of the normalised accession form the
@@ -603,32 +589,17 @@ pub fn detect_duplicates(
 
     let mut links = Vec::new();
     let candidates_scored = ordered.len();
-    let prune = config.duplicate_candidate_mode == DuplicateCandidates::Blocked;
+    // Only the blocked mode prunes — the exhaustive mode is the pre-blocking
+    // pipeline kept bit-for-bit as baseline.
+    let floor = (config.duplicate_candidate_mode == DuplicateCandidates::Blocked)
+        .then_some(config.duplicate_threshold);
     for (i, j) in ordered {
         let a = &a_profiles[i];
         let b = &b_profiles[j];
-        let score = if a.object.accession == b.object.accession {
-            1.0
-        } else {
-            let text_sim = text_similarity(
-                a,
-                b,
-                config.duplicate_measure,
-                vectors.as_ref().map(|(va, vb)| (&va[i], &vb[j])),
-            );
-            // Admissible bound: even a perfect sequence match cannot lift
-            // the score past `0.5·text + 0.5 + bonus`, so when that stays
-            // below the threshold the alignment is provably wasted work.
-            // Only the blocked mode prunes — the exhaustive mode is the
-            // pre-blocking pipeline kept bit-for-bit as baseline.
-            let upper = match (&a.sequence, &b.sequence) {
-                (Some(_), Some(_)) => 0.5 * text_sim + 0.5 + identifier_bonus(a, b),
-                _ => text_sim + identifier_bonus(a, b),
-            };
-            if prune && upper < config.duplicate_threshold {
-                continue;
-            }
-            similarity_from_text(a, b, text_sim)
+        let pair_vectors = vectors.as_ref().map(|(va, vb)| (&va[i], &vb[j]));
+        let Some(score) = profile_similarity(a, b, config.duplicate_measure, pair_vectors, floor)
+        else {
+            continue;
         };
         if score >= config.duplicate_threshold {
             links.push(Link {
@@ -883,8 +854,8 @@ mod tests {
         let a = profile("structdb", "crystal structure of a kinase");
         let b = profile("structdb_msd", "CRYSTAL STRUCTURE OF A KINASE");
         assert_eq!(
-            profile_similarity(&a, &b, DuplicateMeasure::QGram, None),
-            1.0
+            profile_similarity(&a, &b, DuplicateMeasure::QGram, None, None),
+            Some(1.0)
         );
     }
 
@@ -904,7 +875,8 @@ mod tests {
             sequence: None,
             identifiers: HashSet::from(["BI-000001".to_string(), "P10001".to_string()]),
         };
-        let score = profile_similarity(&protein, &interaction, DuplicateMeasure::TfIdf, None);
+        let score = profile_similarity(&protein, &interaction, DuplicateMeasure::TfIdf, None, None)
+            .unwrap();
         assert!(score < 0.5, "referencing object scored {score:.2}");
     }
 

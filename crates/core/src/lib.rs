@@ -64,7 +64,5 @@ pub use metadata::{
     SourceStructure, StepTiming,
 };
 pub use parallel::JobPanic;
-pub use pipeline::{
-    Aladin, BatchReport, IntegrationReport, LinkDiscoveryPlan, PipelineRecovery, SourceOutcome,
-};
+pub use pipeline::{Aladin, BatchReport, IntegrationReport, PipelineRecovery, SourceOutcome};
 pub use serve::{ServeConfig, ServeMetrics, Server, Snapshot};

@@ -31,7 +31,7 @@ pub struct ExplicitLinkOutcome {
 /// value, its `;`/`,`/`|`/whitespace-separated tokens, and each token with a
 /// single leading `prefix:` stripped (covering `Uniprot:P11140` and
 /// `ontodb:GO:0000123`).
-pub fn identifier_tokens(value: &str) -> Vec<String> {
+fn identifier_tokens(value: &str) -> Vec<String> {
     let mut out = Vec::new();
     let trimmed = value.trim();
     if trimmed.is_empty() {

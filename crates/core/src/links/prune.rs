@@ -10,11 +10,10 @@
 
 use crate::config::AladinConfig;
 use crate::metadata::SourceStructure;
-use serde::{Deserialize, Serialize};
 
 /// An attribute of a source that survived pruning and will be compared against
 /// link targets of other sources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateAttribute {
     /// Table name.
     pub table: String,
@@ -29,7 +28,7 @@ pub struct CandidateAttribute {
 }
 
 /// Counters describing how much work pruning saved; reported by experiment E5.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PruningStats {
     /// Attributes considered before pruning.
     pub attributes_total: usize,

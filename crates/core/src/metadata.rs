@@ -9,13 +9,12 @@
 
 use aladin_relstore::stats::ColumnStats;
 use aladin_schema_match::ind::InclusionDependency;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Duration;
 
 /// A reference to a primary object in the warehouse.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectRef {
     /// Data source (database) name.
     pub source: String,
@@ -47,7 +46,7 @@ impl fmt::Display for ObjectRef {
 }
 
 /// The kind of a discovered object-level link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LinkKind {
     /// An explicit cross-reference found in the data.
     ExplicitCrossRef,
@@ -75,7 +74,7 @@ impl fmt::Display for LinkKind {
 }
 
 /// A discovered object-level link between two primary objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// The referencing / first object.
     pub from: ObjectRef,
@@ -97,7 +96,7 @@ impl Link {
 }
 
 /// A detected primary relation of a source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrimaryRelation {
     /// Table name.
     pub table: String,
@@ -110,7 +109,7 @@ pub struct PrimaryRelation {
 
 /// A secondary relation: annotation of primary objects, reachable via a path
 /// of relationships.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecondaryRelation {
     /// Table name.
     pub table: String,
@@ -122,7 +121,7 @@ pub struct SecondaryRelation {
 }
 
 /// A detected unique attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniqueColumn {
     /// Table name.
     pub table: String,
@@ -134,7 +133,7 @@ pub struct UniqueColumn {
 }
 
 /// An accession-number candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessionCandidate {
     /// Table name.
     pub table: String,
@@ -147,7 +146,7 @@ pub struct AccessionCandidate {
 
 /// Everything ALADIN has discovered about the internal structure of one
 /// source.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SourceStructure {
     /// Source name.
     pub source: String,
@@ -180,14 +179,6 @@ impl SourceStructure {
             .any(|p| p.table.eq_ignore_ascii_case(table))
     }
 
-    /// The accession column of a primary table, if it is primary.
-    pub fn accession_column_of(&self, table: &str) -> Option<&str> {
-        self.primary_relations
-            .iter()
-            .find(|p| p.table.eq_ignore_ascii_case(table))
-            .map(|p| p.accession_column.as_str())
-    }
-
     /// The secondary-relation record for a table, if any.
     pub fn secondary(&self, table: &str) -> Option<&SecondaryRelation> {
         self.secondary_relations
@@ -198,7 +189,7 @@ impl SourceStructure {
 
 /// Wall-clock timing of one step of the integration process for one source,
 /// optionally broken down to the pair of sources it compared.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepTiming {
     /// Source the step ran for (the source being integrated).
     pub source: String,
@@ -241,7 +232,7 @@ impl StepTiming {
 /// (its links and duplicates were not produced) but the integration run went
 /// on. Produced by panic isolation and fault injection in the pipeline and
 /// kept in the repository so operators can see which pairs need a re-run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairFailure {
     /// The source that was being integrated.
     pub source: String,
@@ -266,9 +257,9 @@ impl fmt::Display for PairFailure {
 /// A per-step, per-pair metrics report over the whole integration run — the
 /// aggregate view of every recorded [`StepTiming`]. Built by
 /// [`MetadataRepository::metrics`] and surfaced through `Aladin::metrics` /
-/// `Warehouse::metrics`; the `exp_pipeline` experiment binary serializes it
-/// into `BENCH_pipeline.json`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// `Warehouse::metrics`; the `exp_pipeline` experiment binary reads its
+/// numbers and formats `BENCH_pipeline.json` by hand.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineMetrics {
     /// Every recorded measurement, in recording order.
     pub timings: Vec<StepTiming>,
@@ -326,7 +317,7 @@ impl PipelineMetrics {
 
 /// One end of a link as seen from a given object: the object on the other
 /// side, how the link was discovered, and its confidence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Neighbour {
     /// The object on the other side of the link.
     pub object: ObjectRef,
@@ -352,15 +343,10 @@ impl LinkAdjacency {
     pub fn neighbours(&self, object: &ObjectRef) -> &[Neighbour] {
         self.map.get(object).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Number of objects that have at least one link.
-    pub fn object_count(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// The metadata repository.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetadataRepository {
     structures: BTreeMap<String, SourceStructure>,
     links: Vec<Link>,
@@ -692,8 +678,6 @@ mod tests {
         };
         assert!(s.is_primary("PROTKB_ENTRY"));
         assert!(!s.is_primary("protkb_kw"));
-        assert_eq!(s.accession_column_of("protkb_entry"), Some("ac"));
-        assert_eq!(s.accession_column_of("protkb_kw"), None);
         assert!(s.secondary("protkb_kw").is_some());
         assert!(s.stats("protkb_entry", "ac").is_none());
     }
@@ -731,7 +715,6 @@ mod tests {
         repo.add_links(vec![link("P1", "2DEF", LinkKind::ExplicitCrossRef), weak]);
         repo.add_duplicates(vec![link("P1", "1ABC", LinkKind::Duplicate)]);
         let adjacency = repo.build_adjacency();
-        assert_eq!(adjacency.object_count(), 3);
 
         let p1 = ObjectRef::new("protkb", "protkb_entry", "P1");
         let neighbours = adjacency.neighbours(&p1);
@@ -744,6 +727,8 @@ mod tests {
         let back = ObjectRef::new("structdb", "structures", "2DEF");
         assert_eq!(adjacency.neighbours(&back).len(), 1);
         assert_eq!(adjacency.neighbours(&back)[0].object, p1);
+        let both = ObjectRef::new("structdb", "structures", "1ABC");
+        assert_eq!(adjacency.neighbours(&both).len(), 2);
         let nobody = ObjectRef::new("protkb", "protkb_entry", "P9");
         assert!(adjacency.neighbours(&nobody).is_empty());
     }

@@ -51,7 +51,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Resolve a configured worker count: `0` means the machine's available
 /// parallelism, and the count never exceeds the number of jobs.
-pub fn effective_workers(configured: usize, jobs: usize) -> usize {
+fn effective_workers(configured: usize, jobs: usize) -> usize {
     let workers = if configured == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())

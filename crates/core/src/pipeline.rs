@@ -60,7 +60,6 @@ use aladin_import::{import_files_with, QuarantinedRecord, SourceFormat};
 use aladin_relstore::stats::profile_table;
 use aladin_relstore::wal::{self, Wal};
 use aladin_relstore::{persist, Database, RelError};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -124,7 +123,7 @@ fn analyze_with_faults(
 }
 
 /// Summary of integrating one source.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntegrationReport {
     /// Source name.
     pub source: String,
@@ -175,47 +174,6 @@ impl IntegrationReport {
     }
 }
 
-/// Which link-discovery families to run (used by experiments to isolate
-/// costs; the default runs everything).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkDiscoveryPlan {
-    /// Run explicit cross-reference discovery.
-    pub explicit: bool,
-    /// Run sequence-homology link discovery.
-    pub sequence: bool,
-    /// Run text-similarity link discovery.
-    pub text: bool,
-    /// Run shared-term link discovery.
-    pub shared_terms: bool,
-    /// Run duplicate detection.
-    pub duplicates: bool,
-}
-
-impl Default for LinkDiscoveryPlan {
-    fn default() -> Self {
-        LinkDiscoveryPlan {
-            explicit: true,
-            sequence: true,
-            text: true,
-            shared_terms: true,
-            duplicates: true,
-        }
-    }
-}
-
-impl LinkDiscoveryPlan {
-    /// Only explicit cross-reference discovery and duplicates.
-    pub fn explicit_only() -> LinkDiscoveryPlan {
-        LinkDiscoveryPlan {
-            explicit: true,
-            sequence: false,
-            text: false,
-            shared_terms: false,
-            duplicates: true,
-        }
-    }
-}
-
 /// Everything one pair job (the new source against one already-integrated
 /// source) discovered, plus its cost metrics. Jobs are independent, so the
 /// pipeline fans them out over worker threads and merges the outcomes in a
@@ -243,70 +201,44 @@ fn discover_against(
     structure: &SourceStructure,
     other_db: &Database,
     other_structure: &SourceStructure,
-    plan: &LinkDiscoveryPlan,
     config: &AladinConfig,
 ) -> AladinResult<PairOutcome> {
-    let mut explicit: Vec<Link> = Vec::new();
-    let mut implicit: Vec<Link> = Vec::new();
-    let mut pairs_compared = 0usize;
-
     let start = Instant::now();
-    if plan.explicit {
-        let out = discover_explicit_links(db, structure, other_db, other_structure, config)?;
-        pairs_compared += out.pairs_compared;
-        explicit.extend(out.links);
-        let out = discover_explicit_links(other_db, other_structure, db, structure, config)?;
-        pairs_compared += out.pairs_compared;
-        explicit.extend(out.links);
-    }
-    if plan.sequence {
-        implicit.extend(discover_sequence_links(
-            db,
-            structure,
-            other_db,
-            other_structure,
-            config,
-        )?);
-    }
-    if plan.text {
-        implicit.extend(discover_text_links(
-            db,
-            structure,
-            other_db,
-            other_structure,
-            config,
-        )?);
-    }
-    if plan.shared_terms {
-        implicit.extend(discover_shared_term_links(
-            db,
-            structure,
-            other_db,
-            other_structure,
-            config,
-        )?);
-    }
+    let forward = discover_explicit_links(db, structure, other_db, other_structure, config)?;
+    let reverse = discover_explicit_links(other_db, other_structure, db, structure, config)?;
+    let pairs_compared = forward.pairs_compared + reverse.pairs_compared;
+    let mut explicit = forward.links;
+    explicit.extend(reverse.links);
+    let mut implicit = discover_sequence_links(db, structure, other_db, other_structure, config)?;
+    implicit.extend(discover_text_links(
+        db,
+        structure,
+        other_db,
+        other_structure,
+        config,
+    )?);
+    implicit.extend(discover_shared_term_links(
+        db,
+        structure,
+        other_db,
+        other_structure,
+        config,
+    )?);
     let link_elapsed = start.elapsed();
 
     let start = Instant::now();
-    let mut duplicates: Vec<Link> = Vec::new();
-    let mut candidates_scored = 0usize;
-    if plan.duplicates {
-        // The explicit links discovered above all connect this very pair, so
-        // they are exactly the seeds the old sequential pipeline passed.
-        let outcome =
-            detect_duplicates(db, structure, other_db, other_structure, &explicit, config)?;
-        duplicates = outcome.links;
-        candidates_scored = outcome.candidates_scored;
-    }
+    // The explicit links above all connect this very pair: they seed
+    // duplicate detection.
+    let duplicates =
+        detect_duplicates(db, structure, other_db, other_structure, &explicit, config)?;
 
     Ok(PairOutcome {
         other: other_db.name().to_string(),
         explicit,
         implicit,
-        duplicates,
+        duplicates: duplicates.links,
         pairs_compared,
-        candidates_scored,
+        candidates_scored: duplicates.candidates_scored,
         link_elapsed,
         duplicate_elapsed: start.elapsed(),
     })
@@ -333,7 +265,7 @@ impl SourceOutcome {
     }
 
     /// True when the source was integrated.
-    pub fn is_integrated(&self) -> bool {
+    fn is_integrated(&self) -> bool {
         matches!(self, SourceOutcome::Integrated(_))
     }
 
@@ -455,27 +387,33 @@ fn source_snapshot_file(source: &str) -> String {
     out
 }
 
-/// Append one committed-sources event to the pipeline event log. The log is
-/// tiny (one record per batch), so each append re-opens and replays it —
-/// that keeps [`Aladin`] free of file handles and therefore `Clone`.
-fn append_pipeline_event(dir: &Path, names: &[String]) -> Result<(), RelError> {
-    let (_, mut log) = Wal::recover(&dir.join("pipeline.wal"), 0)?;
+/// Where a source's staged snapshot waits for its commit event: the
+/// snapshot path plus `.next`.
+fn pending_snapshot_path(snapshot: &Path) -> PathBuf {
+    let mut path = snapshot.as_os_str().to_owned();
+    path.push(".next");
+    PathBuf::from(path)
+}
+
+/// Encode one committed-sources event of the pipeline event log.
+fn pipeline_event(names: &[String]) -> Vec<u8> {
     let mut payload = Vec::new();
     payload.push(1u8);
     persist::put_u32(&mut payload, names.len() as u32);
     for name in names {
         persist::put_str(&mut payload, name);
     }
-    log.append(&payload)?;
-    Ok(())
+    payload
 }
 
 /// Replay the pipeline event log into the list of active sources in
-/// last-commit order. Damage truncates the tail (reported, never fatal);
-/// an undecodable record stops replay the same way.
-fn replay_pipeline_events(dir: &Path) -> Result<(Vec<String>, Option<String>), RelError> {
+/// last-commit order, each with the sequence number of its last commit
+/// event. Damage truncates the tail (reported, never fatal); an undecodable
+/// record stops replay the same way.
+#[allow(clippy::type_complexity)]
+fn replay_pipeline_events(dir: &Path) -> Result<(Vec<(String, u64)>, Option<String>), RelError> {
     let replay = wal::replay(&dir.join("pipeline.wal"), 0)?;
-    let mut active: Vec<String> = Vec::new();
+    let mut active: Vec<(String, u64)> = Vec::new();
     let mut truncated = replay.truncated;
     'records: for record in &replay.records {
         let mut cur = persist::Cursor::new(&record.payload);
@@ -493,8 +431,8 @@ fn replay_pipeline_events(dir: &Path) -> Result<(Vec<String>, Option<String>), R
         match decoded {
             Ok(names) => {
                 for name in names {
-                    active.retain(|a| a != &name);
-                    active.push(name);
+                    active.retain(|(a, _)| a != &name);
+                    active.push((name, record.seq));
                 }
             }
             Err(e) => {
@@ -513,7 +451,6 @@ fn replay_pipeline_events(dir: &Path) -> Result<(Vec<String>, Option<String>), R
 #[derive(Debug, Clone)]
 pub struct Aladin {
     config: AladinConfig,
-    plan: LinkDiscoveryPlan,
     warehouse: BTreeMap<String, Database>,
     metadata: MetadataRepository,
 }
@@ -523,7 +460,6 @@ impl Aladin {
     pub fn new(config: AladinConfig) -> Aladin {
         Aladin {
             config,
-            plan: LinkDiscoveryPlan::default(),
             warehouse: BTreeMap::new(),
             metadata: MetadataRepository::new(),
         }
@@ -532,11 +468,6 @@ impl Aladin {
     /// Create an empty warehouse with the default configuration.
     pub fn with_defaults() -> Aladin {
         Aladin::new(AladinConfig::default())
-    }
-
-    /// Replace the link-discovery plan (which families of links are computed).
-    pub fn set_link_plan(&mut self, plan: LinkDiscoveryPlan) {
-        self.plan = plan;
     }
 
     /// The configuration.
@@ -762,7 +693,7 @@ impl Aladin {
         exclude: Option<&str>,
     ) -> AladinResult<StagedSource> {
         let name = db.name().to_string();
-        let (config, plan) = (&self.config, self.plan);
+        let config = &self.config;
         let empty = SourceStructure::default();
         let mut others: Vec<(&str, &Database, &SourceStructure)> = self
             .warehouse
@@ -785,7 +716,7 @@ impl Aladin {
                     "injected pair failure: {name} vs {other_name}"
                 )));
             }
-            discover_against(&db, &structure, other_db, other_structure, &plan, config)
+            discover_against(&db, &structure, other_db, other_structure, config)
         });
         let mut outcomes: Vec<PairOutcome> = Vec::with_capacity(results.len());
         let mut failures: Vec<PairFailure> = Vec::new();
@@ -890,12 +821,21 @@ impl Aladin {
         })
     }
 
-    /// Persist the staged sources of one batch: a checksummed snapshot per
-    /// source under `sources/`, then a single event-log record naming them
-    /// all. The event record is the commit point — snapshot files without it
-    /// are invisible to recovery — so on any failure the snapshots written
-    /// here are removed again (best-effort) and the batch reports a
-    /// [`AladinError::Durability`] without mutating the warehouse.
+    /// Persist the staged sources of one batch. The pipeline event log is
+    /// opened first, so the sequence number of the batch's commit event is
+    /// known; it is tiny (one record per batch), and re-opening it on every
+    /// commit keeps [`Aladin`] free of file handles and therefore `Clone`.
+    /// Each source's checksummed snapshot is written beside the committed
+    /// one, as `sources/<escaped>.snap.next` stamped with that sequence
+    /// number, and then one event naming them all is appended.
+    ///
+    /// The event is the commit point. Until it is durable every `.snap`
+    /// still holds the published version: on any failure the `.next` files
+    /// are removed (best-effort) and the batch reports an
+    /// [`AladinError::Durability`] without mutating the warehouse. Once it
+    /// is durable the batch has committed, so nothing after it fails the
+    /// call: each `.next` is renamed onto its `.snap`, and a `.next` left by
+    /// a crash or a failed rename is rolled forward by [`Aladin::open`].
     fn persist_staged(&self, dir: &Path, staged: &[StagedSource]) -> AladinResult<()> {
         let sources_dir = dir.join("sources");
         std::fs::create_dir_all(&sources_dir).map_err(|e| {
@@ -904,38 +844,50 @@ impl Aladin {
                 RelError::Durability(e.to_string()),
             )
         })?;
-        let mut written: Vec<PathBuf> = Vec::new();
+        let (_, mut log) = Wal::recover(&dir.join("pipeline.wal"), 0)
+            .map_err(|e| durability("opening pipeline event log", e))?;
+        let seq = log.last_seq() + 1;
+        let mut pending: Vec<(PathBuf, PathBuf)> = Vec::new();
         let mut names: Vec<String> = Vec::new();
         let outcome = (|| -> Result<(), AladinError> {
             for s in staged {
                 let name = s.report.source.clone();
-                let path = sources_dir.join(source_snapshot_file(&name));
-                let fresh = !path.exists();
-                persist::write_snapshot_at(&path, &s.db, 0)
+                let snapshot = sources_dir.join(source_snapshot_file(&name));
+                let next = pending_snapshot_path(&snapshot);
+                persist::write_snapshot_at(&next, &s.db, seq)
                     .map_err(|e| durability(format!("writing snapshot for '{name}'"), e))?;
-                if fresh {
-                    written.push(path);
-                }
+                pending.push((next, snapshot));
                 names.push(name);
             }
-            append_pipeline_event(dir, &names)
-                .map_err(|e| durability("appending pipeline commit event", e))
+            log.append(&pipeline_event(&names))
+                .map_err(|e| durability("appending pipeline commit event", e))?;
+            Ok(())
         })();
         if outcome.is_err() {
-            for path in written {
-                let _ = std::fs::remove_file(path);
+            for (next, _) in &pending {
+                let _ = std::fs::remove_file(next);
             }
+            return outcome;
         }
-        outcome
+        for (next, snapshot) in pending {
+            let _ = std::fs::rename(next, snapshot);
+        }
+        Ok(())
     }
 
     /// Reopen a durable warehouse from [`AladinConfig::data_dir`]: replay the
     /// pipeline event log (truncating a torn tail), load every active
-    /// source's snapshot, and re-integrate them in last-commit order. A
-    /// missing or corrupt snapshot loses that source — reported in
+    /// source's committed snapshot, and re-integrate them in last-commit
+    /// order. A missing or corrupt snapshot loses that source — reported in
     /// [`PipelineRecovery::lost`] — never the whole warehouse. Discovery is
     /// deterministic, so re-integration reproduces the links and duplicates
     /// the crashed process had published.
+    ///
+    /// Roll-forward rule: a source's `.snap.next` whose stamp equals the
+    /// sequence number of the source's last replayed commit event was
+    /// committed before a crash cut its rename short, so it is renamed onto
+    /// `.snap` and loaded. Every other `.next` never committed and is
+    /// deleted.
     pub fn open(config: AladinConfig) -> AladinResult<(Aladin, PipelineRecovery)> {
         let start = Instant::now();
         let dir = config.data_dir.clone().ok_or_else(|| {
@@ -958,11 +910,27 @@ impl Aladin {
             ..PipelineRecovery::default()
         };
         let mut dbs = Vec::new();
-        for name in active {
-            let path = sources_dir.join(source_snapshot_file(&name));
-            match persist::read_snapshot(&path) {
-                Ok((db, _)) => dbs.push(db),
-                Err(_) => recovery.lost.push(name),
+        let mut adopted: BTreeSet<PathBuf> = BTreeSet::new();
+        for (name, seq) in active {
+            let snapshot = sources_dir.join(source_snapshot_file(&name));
+            let next = pending_snapshot_path(&snapshot);
+            match persist::read_snapshot(&next) {
+                Ok((db, stamp)) if stamp == seq => {
+                    let _ = std::fs::rename(&next, &snapshot);
+                    adopted.insert(next);
+                    dbs.push(db);
+                }
+                _ => match persist::read_snapshot(&snapshot) {
+                    Ok((db, _)) => dbs.push(db),
+                    Err(_) => recovery.lost.push(name),
+                },
+            }
+        }
+        if let Ok(entries) = std::fs::read_dir(&sources_dir) {
+            for path in entries.filter_map(|entry| entry.ok().map(|e| e.path())) {
+                if path.extension().is_some_and(|ext| ext == "next") && !adopted.contains(&path) {
+                    let _ = std::fs::remove_file(path);
+                }
             }
         }
         // Re-integrate with persistence off: the snapshots and events being
@@ -1058,9 +1026,8 @@ impl Aladin {
                 )))
             })?;
         let staged = self.stage_source(db, structure, elapsed, &[], Some(&name))?;
-        // Durability: overwrite the source's snapshot (atomically) and log a
-        // re-commit event before swapping in memory, so a crash during the
-        // swap recovers the refreshed version.
+        // Durability: commit the new version on disk before swapping in
+        // memory, so a crash during the swap recovers the refreshed version.
         if let Some(dir) = self.config.data_dir.clone() {
             self.persist_staged(&dir, std::slice::from_ref(&staged))?;
         }
@@ -1264,24 +1231,6 @@ mod tests {
 
         // Refreshing an unknown source is an error.
         assert!(aladin.refresh_source(Database::new("nope"), 1.0).is_err());
-    }
-
-    #[test]
-    fn link_plan_controls_which_links_are_computed() {
-        let mut aladin = Aladin::new(config());
-        aladin.set_link_plan(LinkDiscoveryPlan {
-            explicit: false,
-            sequence: false,
-            text: false,
-            shared_terms: false,
-            duplicates: false,
-        });
-        aladin.add_database(protkb()).unwrap();
-        let report = aladin.add_database(structdb()).unwrap();
-        assert_eq!(report.explicit_links, 0);
-        assert_eq!(report.implicit_links, 0);
-        assert_eq!(report.duplicates, 0);
-        assert_eq!(aladin.link_count(), 0);
     }
 
     #[test]

@@ -64,7 +64,6 @@ use aladin_relstore::exec::execute_checked;
 use aladin_relstore::plan::fingerprint_bytes;
 use aladin_relstore::sql::Statement;
 use aladin_relstore::{persist, Database, RelError, Table};
-use serde::Serialize;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
@@ -77,7 +76,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 // ---------------------------------------------------------------------------
 
 /// Tuning knobs of the serving layer's query-result cache.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Byte budget of the cache (approximate, measured on the canonical
     /// rendering of each cached value). `0` disables caching entirely.
@@ -104,18 +103,6 @@ impl ServeConfig {
             cache_capacity_bytes: 0,
             cache_max_entries: 0,
         }
-    }
-
-    /// This configuration with the given byte budget.
-    pub fn with_cache_capacity(mut self, bytes: usize) -> ServeConfig {
-        self.cache_capacity_bytes = bytes;
-        self
-    }
-
-    /// This configuration with the given entry cap.
-    pub fn with_max_entries(mut self, entries: usize) -> ServeConfig {
-        self.cache_max_entries = entries;
-        self
     }
 }
 
@@ -334,9 +321,8 @@ impl QueryCache {
 
 /// Counters of the serving layer, the query-side sibling of
 /// [`crate::metadata::PipelineMetrics`]: snapshot publishing plus cache
-/// effectiveness. Serializable for dashboards and the `exp_serve` bench
-/// output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// effectiveness. The `exp_serve` bench reads them for its output.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeMetrics {
     /// Generation of the currently published snapshot.
     pub generation: u64,
@@ -875,7 +861,11 @@ mod tests {
         };
         let mut aladin = Aladin::new(config);
         aladin.add_database(protkb()).unwrap();
-        let server = Server::start(aladin, ServeConfig::default().with_max_entries(2)).unwrap();
+        let two_entries = ServeConfig {
+            cache_max_entries: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(aladin, two_entries).unwrap();
 
         let specs: Vec<QuerySpec> = (1..=3)
             .map(|i| QuerySpec::accession("protkb", format!("P1000{i}")))
@@ -897,7 +887,11 @@ mod tests {
         // A tiny byte budget rejects values outright and never serves hits.
         let mut aladin = Aladin::with_defaults();
         aladin.add_database(protkb()).unwrap();
-        let tiny = Server::start(aladin, ServeConfig::default().with_cache_capacity(16)).unwrap();
+        let tiny_budget = ServeConfig {
+            cache_capacity_bytes: 16,
+            ..ServeConfig::default()
+        };
+        let tiny = Server::start(aladin, tiny_budget).unwrap();
         tiny.fetch(&specs[0]).unwrap();
         tiny.fetch(&specs[0]).unwrap();
         assert_eq!(tiny.metrics().cache_hits, 0);

@@ -7,11 +7,10 @@ use aladin_import::{import_files, ImportResult, SourceFormat};
 use aladin_relstore::Database;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Configuration of a synthetic corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// RNG seed; everything downstream is deterministic per seed.
     pub seed: u64,
@@ -102,7 +101,7 @@ impl Default for CorpusConfig {
 
 /// A rendered data source: the files a provider would publish, plus the format
 /// the import component should use.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SourceDump {
     /// Source (database) name.
     pub name: String,
@@ -125,7 +124,7 @@ impl SourceDump {
 }
 
 /// A generated corpus: the rendered sources and the ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Corpus {
     /// Configuration the corpus was generated from.
     pub config: CorpusConfig,

@@ -17,8 +17,7 @@
 //!   level via [`corrupt_bytes`].
 //!
 //! [`FlakyFetcher`] adds the reader-level faults: scripted transient
-//! failures (to exercise retry), permanently broken files, and fetches that
-//! panic (to exercise panic isolation).
+//! failures (to exercise retry) and permanently broken files.
 
 use crate::corpus::SourceDump;
 use aladin_import::{FetchError, MemoryFetcher, SourceFetcher, SourceFormat};
@@ -26,14 +25,13 @@ use aladin_relstore::error::{RelError, RelResult};
 use aladin_relstore::wal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 
 /// Rates of the text-level corruptions applied by [`corrupt_dump`]. All
 /// rates are per eligible line and clamped to `[0, 1]`; a config with every
 /// rate zero is the identity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// RNG seed; corruption is deterministic per (seed, source name).
     pub seed: u64,
@@ -61,16 +59,6 @@ impl FaultConfig {
             duplicate_rate: 0.0,
             rename_columns: false,
             invalid_utf8: false,
-        }
-    }
-
-    /// Mild damage: a few records per file affected, schema intact.
-    pub fn mild(seed: u64) -> FaultConfig {
-        FaultConfig {
-            truncate_rate: 0.05,
-            garbage_rate: 0.05,
-            duplicate_rate: 0.03,
-            ..FaultConfig::none(seed)
         }
     }
 
@@ -329,9 +317,9 @@ pub fn swap_last_two_wal_records(path: &Path) -> RelResult<()> {
 }
 
 /// A scripted [`SourceFetcher`] for reader-level faults: each file fails
-/// transiently a configured number of times before succeeding, files listed
-/// as broken always fail permanently, and files listed as panicking panic —
-/// the raw material for retry, rollback and panic-isolation tests.
+/// transiently a configured number of times before succeeding, and files
+/// listed as broken always fail permanently — the raw material for retry and
+/// rollback tests.
 #[derive(Debug, Clone, Default)]
 pub struct FlakyFetcher {
     inner: MemoryFetcher,
@@ -339,8 +327,6 @@ pub struct FlakyFetcher {
     pub transient_failures: usize,
     /// Files that always fail permanently.
     pub broken_files: Vec<String>,
-    /// Files whose fetch panics.
-    pub panic_files: Vec<String>,
     attempts: HashMap<String, usize>,
 }
 
@@ -365,12 +351,6 @@ impl FlakyFetcher {
         self
     }
 
-    /// Mark a file as panicking on fetch.
-    pub fn with_panicking_file(mut self, file: &str) -> FlakyFetcher {
-        self.panic_files.push(file.to_string());
-        self
-    }
-
     /// Total fetch attempts observed (all files).
     pub fn attempts(&self) -> usize {
         self.attempts.values().sum()
@@ -385,9 +365,6 @@ impl SourceFetcher for FlakyFetcher {
     fn fetch(&mut self, file: &str) -> Result<Vec<u8>, FetchError> {
         let attempt = self.attempts.entry(file.to_string()).or_insert(0);
         *attempt += 1;
-        if self.panic_files.iter().any(|f| f == file) {
-            panic!("injected fetch panic: {file}");
-        }
         if self.broken_files.iter().any(|f| f == file) {
             return Err(FetchError::Permanent(format!("injected: {file} is gone")));
         }
@@ -571,14 +548,5 @@ mod tests {
 
         let path = sample_wal("one", 1);
         assert!(swap_last_two_wal_records(&path).is_err());
-    }
-
-    #[test]
-    fn flaky_fetcher_panics_on_listed_files() {
-        let mut f = FlakyFetcher::over(&dump()).with_panicking_file("rows.tsv");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = f.fetch("rows.tsv");
-        }));
-        assert!(result.is_err());
     }
 }

@@ -14,10 +14,8 @@ pub mod protein_kb;
 pub mod structure_db;
 pub mod taxonomy;
 
-use serde::{Deserialize, Serialize};
-
 /// An explicit cross-reference emitted into the data of a source.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EmittedXref {
     /// Source containing the reference.
     pub from_source: String,

@@ -7,10 +7,8 @@
 //! derived" (Section 5). The generator records exactly those four kinds of
 //! truth so the evaluation in `aladin-core::eval` can compute P/R/F1.
 
-use serde::{Deserialize, Serialize};
-
 /// Ground truth about the structure of one generated source *after import*.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceTruth {
     /// Source (database) name.
     pub source: String,
@@ -26,7 +24,7 @@ pub struct SourceTruth {
 }
 
 /// A true object-level relationship between primary objects of two sources.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ObjectLink {
     /// Source holding the referencing object.
     pub from_source: String,
@@ -45,7 +43,7 @@ pub struct ObjectLink {
 }
 
 /// A pair of database objects that represent the same real-world object.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DuplicatePair {
     /// First source.
     pub source_a: String,
@@ -59,7 +57,7 @@ pub struct DuplicatePair {
 
 /// A pair of homologous proteins (same family) visible across sources; the
 /// target of implicit sequence-similarity links.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HomologPair {
     /// First source.
     pub source_a: String,
@@ -74,7 +72,7 @@ pub struct HomologPair {
 }
 
 /// The full ground truth for a generated corpus.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// Structural truth for every source.
     pub sources: Vec<SourceTruth>,
@@ -90,16 +88,6 @@ impl GroundTruth {
     /// Structural truth for one source, if present.
     pub fn source(&self, name: &str) -> Option<&SourceTruth> {
         self.sources.iter().find(|s| s.source == name)
-    }
-
-    /// All links between two given sources (in either direction).
-    pub fn links_between(&self, a: &str, b: &str) -> Vec<&ObjectLink> {
-        self.links
-            .iter()
-            .filter(|l| {
-                (l.from_source == a && l.to_source == b) || (l.from_source == b && l.to_source == a)
-            })
-            .collect()
     }
 
     /// Number of links that were emitted explicitly.
@@ -198,8 +186,6 @@ mod tests {
         let t = truth();
         assert!(t.source("protkb").is_some());
         assert!(t.source("missing").is_none());
-        assert_eq!(t.links_between("structdb", "protkb").len(), 2);
-        assert_eq!(t.links_between("protkb", "ontodb").len(), 0);
         assert_eq!(t.explicit_link_count(), 1);
         assert_eq!(t.withheld_link_count(), 1);
     }

@@ -28,7 +28,7 @@ pub const FUNCTION_NOUNS: &[&str] = &[
 ];
 
 /// Function modifiers.
-pub const FUNCTION_MODIFIERS: &[&str] = &[
+const FUNCTION_MODIFIERS: &[&str] = &[
     "serine/threonine",
     "tyrosine",
     "ATP-dependent",

@@ -8,10 +8,9 @@ use crate::vocab;
 use aladin_seq::alphabet::Alphabet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A protein family: members share a mutated copy of the ancestor sequence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Family {
     /// Family index.
     pub idx: usize,
@@ -22,7 +21,7 @@ pub struct Family {
 }
 
 /// A real-world protein and everything the world knows about it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Protein {
     /// Protein index (world-wide ordinal).
     pub idx: usize,
@@ -57,7 +56,7 @@ pub struct Protein {
 }
 
 /// A protein structure (PDB-like entry).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Structure {
     /// Structure index.
     pub idx: usize,
@@ -78,7 +77,7 @@ pub struct Structure {
 }
 
 /// An ontology term (GO-like).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Term {
     /// Term index.
     pub idx: usize,
@@ -95,7 +94,7 @@ pub struct Term {
 }
 
 /// An organism.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Taxon {
     /// Taxon index.
     pub idx: usize,
@@ -110,7 +109,7 @@ pub struct Taxon {
 }
 
 /// A binary protein-protein interaction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Interaction {
     /// Interaction index.
     pub idx: usize,
@@ -127,7 +126,7 @@ pub struct Interaction {
 }
 
 /// The complete synthetic world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// Protein families.
     pub families: Vec<Family>,

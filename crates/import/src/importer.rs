@@ -3,11 +3,10 @@
 use crate::quarantine::Quarantine;
 use crate::reader::{decode_text, fetch_with_retry, RetryPolicy, SourceFetcher};
 use aladin_relstore::{Database, RelError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The source formats the import component understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceFormat {
     /// Line-typed flat file (Swiss-Prot/EMBL style).
     FlatFile,

@@ -10,7 +10,6 @@
 //! with the same [`ImportError::Malformed`] message it always produced.
 
 use crate::importer::{ImportError, ImportResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of raw characters kept as the excerpt of a quarantined
@@ -18,7 +17,7 @@ use std::fmt;
 const EXCERPT_LEN: usize = 120;
 
 /// One malformed record that was excluded from the import.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedRecord {
     /// File the record came from.
     pub file: String,
@@ -44,7 +43,7 @@ impl fmt::Display for QuarantinedRecord {
 
 /// The quarantine report of one import run: every malformed record that was
 /// excluded, plus the error budget the run was configured with.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quarantine {
     records: Vec<QuarantinedRecord>,
     budget: usize,
@@ -138,12 +137,6 @@ impl Quarantine {
         }
         Ok(())
     }
-
-    /// Merge another quarantine report into this one (used when a source
-    /// spans several files). The budget of `self` keeps applying.
-    pub fn absorb(&mut self, other: Quarantine) {
-        self.records.extend(other.records);
-    }
 }
 
 /// Clip a raw input snippet to a bounded, single-line excerpt.
@@ -213,18 +206,5 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("file 'doc.xml': unterminated element"));
-    }
-
-    #[test]
-    fn absorb_merges_reports_and_filters_by_file() {
-        let mut a = Quarantine::with_budget(5);
-        a.record("one.csv", 1, "bad", "x").unwrap();
-        let mut b = Quarantine::with_budget(5);
-        b.record("two.csv", 2, "bad", "y").unwrap();
-        a.absorb(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.for_file("two.csv").count(), 1);
-        assert!(!a.is_empty());
-        assert_eq!(a.budget(), 5);
     }
 }

@@ -156,7 +156,7 @@ impl RetryPolicy {
     /// The delay slept before retry attempt `n` (1-based: `delay_before(1)`
     /// precedes the first *retry*, i.e. the second attempt). Overflow
     /// saturates into the cap instead of wrapping.
-    pub fn delay_before(&self, attempt: usize) -> Duration {
+    fn delay_before(&self, attempt: usize) -> Duration {
         let attempt = attempt.max(1) as u32;
         match self.backoff {
             Backoff::Linear => self

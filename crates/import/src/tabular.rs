@@ -16,7 +16,7 @@ fn detect_delimiter(header: &str) -> char {
 
 /// Split one delimited line, honouring double quotes around fields and `""`
 /// escapes inside quoted fields.
-pub fn split_line(line: &str, delimiter: char) -> Vec<String> {
+fn split_line(line: &str, delimiter: char) -> Vec<String> {
     let mut fields = Vec::new();
     let mut current = String::new();
     let mut in_quotes = false;

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A parsed XML element.
 #[derive(Debug, Clone, Default)]
-pub struct XmlElement {
+struct XmlElement {
     /// Element name.
     pub name: String,
     /// Attribute name/value pairs in document order.
@@ -31,7 +31,7 @@ pub struct XmlElement {
 /// entities. It does not support CDATA sections, namespaces beyond treating
 /// `ns:name` as a plain name, or DTDs — none of which the synthetic corpus
 /// uses.
-pub fn parse_document(content: &str) -> ImportResult<XmlElement> {
+fn parse_document(content: &str) -> ImportResult<XmlElement> {
     let mut parser = XmlParser {
         chars: content.chars().collect(),
         pos: 0,
@@ -242,15 +242,12 @@ fn decode_entities(s: &str) -> String {
 /// a `parent_type` column naming the parent element. Attributes become
 /// columns; the trimmed text content (if any element of that name has some)
 /// becomes a `content` column.
-pub fn shred_into(db: &mut Database, file_name: &str, content: &str) -> ImportResult<()> {
-    shred_into_with(db, file_name, content, &mut Quarantine::strict())
-}
-
-/// Shred an XML document, quarantining an unparseable document at file level
-/// against the quarantine's error budget: unlike the line-oriented formats,
-/// a truncated or malformed XML file cannot be partially recovered, so the
-/// whole file is recorded as one quarantined entry (line 0) and contributes
-/// no tables; other files of the source still import normally.
+///
+/// An unparseable document is quarantined at file level against the
+/// quarantine's error budget: unlike the line-oriented formats, a truncated
+/// or malformed XML file cannot be partially recovered, so the whole file is
+/// recorded as one quarantined entry (line 0) and contributes no tables;
+/// other files of the source still import normally.
 pub fn shred_into_with(
     db: &mut Database,
     file_name: &str,
@@ -412,7 +409,7 @@ mod tests {
     #[test]
     fn shred_creates_one_table_per_element() {
         let mut db = Database::new("genedb");
-        shred_into(&mut db, "genes.xml", SAMPLE).unwrap();
+        shred_into_with(&mut db, "genes.xml", SAMPLE, &mut Quarantine::strict()).unwrap();
         let names = db.table_names();
         assert!(names.contains(&"genes_genedb"));
         assert!(names.contains(&"genes_gene"));
@@ -470,7 +467,7 @@ mod tests {
     fn shredding_missing_attributes_yields_null() {
         let xml = r#"<root><item a="1" b="2"/><item a="3"/></root>"#;
         let mut db = Database::new("x");
-        shred_into(&mut db, "f.xml", xml).unwrap();
+        shred_into_with(&mut db, "f.xml", xml, &mut Quarantine::strict()).unwrap();
         let t = db.table("f_item").unwrap();
         assert_eq!(t.cell(1, "b").unwrap(), &Value::Null);
         assert_eq!(t.cell(1, "a").unwrap(), &Value::text("3"));

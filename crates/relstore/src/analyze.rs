@@ -45,7 +45,7 @@
 
 use crate::catalog::Database;
 use crate::error::RelError;
-use crate::expr::{BinaryOp, Expr};
+use crate::expr::{as_column_cmp_literal, split_conjuncts, BinaryOp, Expr};
 use crate::plan::{AggFunc, Aggregate, LogicalPlan, SortKey};
 use crate::schema::{ColumnDef, ColumnResolution, TableSchema};
 use crate::types::DataType;
@@ -147,7 +147,7 @@ impl Diagnostic {
 /// The caret-context block shared by parse errors and spanned analyzer
 /// diagnostics: the source line containing the span, with `^` markers under
 /// the offending bytes.
-pub fn render_span(source: &str, span: Span) -> String {
+fn render_span(source: &str, span: Span) -> String {
     let start = span.start.min(source.len());
     let line_start = source[..start].rfind('\n').map(|i| i + 1).unwrap_or(0);
     let line_end = source[start..]
@@ -436,7 +436,7 @@ impl Checker<'_> {
                 input, predicate, ..
             } = cursor
             {
-                collect_conjuncts(predicate, &mut conjuncts);
+                split_conjuncts(predicate, &mut conjuncts);
                 cursor = input;
             }
             match conjunction_satisfiability(&conjuncts) {
@@ -465,7 +465,7 @@ impl Checker<'_> {
             if let Ok(t) = self.db.table(table) {
                 if t.row_count() as f64 >= LARGE_INPUT_ROWS {
                     let mut conjuncts = Vec::new();
-                    collect_conjuncts(predicate, &mut conjuncts);
+                    split_conjuncts(predicate, &mut conjuncts);
                     for c in &conjuncts {
                         let Some((col, BinaryOp::Eq, value)) = as_column_cmp_literal(c) else {
                             continue;
@@ -946,22 +946,6 @@ pub(crate) enum Satisfiability {
     Satisfiable { true_conjuncts: Vec<usize> },
 }
 
-/// Split a predicate into AND-ed conjuncts (the same decomposition the
-/// optimizer uses).
-pub(crate) fn collect_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Binary {
-        op: BinaryOp::And,
-        left,
-        right,
-    } = e
-    {
-        collect_conjuncts(left, out);
-        collect_conjuncts(right, out);
-    } else {
-        out.push(e.clone());
-    }
-}
-
 /// Interval reasoning over a conjunct list. Sound by construction:
 ///
 /// * Column bounds come only from `column <op> literal` conjuncts and use
@@ -1125,28 +1109,6 @@ impl Domain {
             }
         }
         Ok(())
-    }
-}
-
-/// Match `column <cmp> literal` in either orientation, flipping the operator
-/// when the literal is on the left.
-pub(crate) fn as_column_cmp_literal(e: &Expr) -> Option<(&str, BinaryOp, &Value)> {
-    let Expr::Binary { op, left, right } = e else {
-        return None;
-    };
-    let flipped = match op {
-        BinaryOp::Eq => BinaryOp::Eq,
-        BinaryOp::Ne => BinaryOp::Ne,
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::Le => BinaryOp::Ge,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::Ge => BinaryOp::Le,
-        _ => return None,
-    };
-    match (&**left, &**right) {
-        (Expr::Column(c), Expr::Literal(v)) => Some((c.as_str(), *op, v)),
-        (Expr::Literal(v), Expr::Column(c)) => Some((c.as_str(), flipped, v)),
-        _ => None,
     }
 }
 

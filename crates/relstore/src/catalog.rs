@@ -6,7 +6,6 @@ use crate::index::HashIndex;
 use crate::schema::TableSchema;
 use crate::stats::{profile_column, ColumnStats};
 use crate::table::{Row, Table};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -72,12 +71,11 @@ impl Clone for AccessPaths {
 /// In the ALADIN architecture each imported data source becomes one such
 /// database inside the warehouse; the warehouse itself is a collection of
 /// `Database` values managed by `aladin-core`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     name: String,
     tables: BTreeMap<String, Table>,
     constraints: Vec<Constraint>,
-    #[serde(skip)]
     access: AccessPaths,
 }
 
@@ -255,15 +253,6 @@ impl Database {
     /// All declared constraints.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
-    }
-
-    /// Declared constraints for a single table (FKs are listed under their
-    /// referencing table).
-    pub fn constraints_for(&self, table: &str) -> Vec<&Constraint> {
-        self.constraints
-            .iter()
-            .filter(|c| c.table().eq_ignore_ascii_case(table))
-            .collect()
     }
 
     /// Declared foreign keys (referencing table, column, referenced table,
@@ -606,23 +595,5 @@ mod tests {
                 .lookup("P99999"),
             &[2]
         );
-    }
-
-    #[test]
-    fn constraints_for_filters_by_table() {
-        let mut db = db();
-        db.add_constraint(Constraint::Unique {
-            table: "bioentry".into(),
-            column: "accession".into(),
-        })
-        .unwrap();
-        db.add_constraint(Constraint::NotNull {
-            table: "dbref".into(),
-            column: "accession".into(),
-        })
-        .unwrap();
-        assert_eq!(db.constraints_for("bioentry").len(), 1);
-        assert_eq!(db.constraints_for("dbref").len(), 1);
-        assert_eq!(db.constraints_for("unknown").len(), 0);
     }
 }

@@ -5,11 +5,10 @@
 //! therefore carries an explicit, optional set of constraints per table; the
 //! discovery steps consult it first and fall back to data analysis.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A foreign-key constraint: `table.column` references `ref_table.ref_column`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ForeignKey {
     /// Referencing table.
     pub table: String,
@@ -49,7 +48,7 @@ impl fmt::Display for ForeignKey {
 }
 
 /// A declared integrity constraint known to the data dictionary.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Constraint {
     /// The named column of the named table is declared UNIQUE.
     Unique {

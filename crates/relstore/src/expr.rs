@@ -5,11 +5,10 @@ use crate::schema::TableSchema;
 use crate::table::Row;
 use crate::types::DataType;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary operators supported by the expression language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
     /// Equality (`=`).
     Eq,
@@ -61,7 +60,7 @@ impl fmt::Display for BinaryOp {
 }
 
 /// A scalar expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A column reference by name (possibly qualified, e.g. `bioentry.accession`).
     Column(String),
@@ -206,13 +205,43 @@ impl Expr {
             Expr::Not(_) | Expr::IsNull(_) | Expr::IsNotNull(_) => DataType::Boolean,
         }
     }
+}
 
-    /// A printable name for projection output columns.
-    pub fn display_name(&self) -> String {
-        match self {
-            Expr::Column(c) => c.clone(),
-            other => other.to_string(),
-        }
+/// Split a predicate into its AND-ed conjuncts: the decomposition both the
+/// optimizer and the analyzer reason over.
+pub(crate) fn split_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
+    if let Expr::Binary {
+        op: BinaryOp::And,
+        left,
+        right,
+    } = e
+    {
+        split_conjuncts(left, out);
+        split_conjuncts(right, out);
+    } else {
+        out.push(e.clone());
+    }
+}
+
+/// Match `column <cmp> literal` in either orientation, flipping the operator
+/// when the literal is on the left.
+pub(crate) fn as_column_cmp_literal(e: &Expr) -> Option<(&str, BinaryOp, &Value)> {
+    let Expr::Binary { op, left, right } = e else {
+        return None;
+    };
+    let flipped = match op {
+        BinaryOp::Eq => BinaryOp::Eq,
+        BinaryOp::Ne => BinaryOp::Ne,
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::Le => BinaryOp::Ge,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::Ge => BinaryOp::Le,
+        _ => return None,
+    };
+    match (&**left, &**right) {
+        (Expr::Column(c), Expr::Literal(v)) => Some((c.as_str(), *op, v)),
+        (Expr::Literal(v), Expr::Column(c)) => Some((c.as_str(), flipped, v)),
+        _ => None,
     }
 }
 

@@ -9,11 +9,10 @@
 use crate::error::RelResult;
 use crate::table::Table;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A hash index mapping rendered column values to row positions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HashIndex {
     table: String,
     column: String,
@@ -47,11 +46,6 @@ impl HashIndex {
     /// Indexed column name.
     pub fn column(&self) -> &str {
         &self.column
-    }
-
-    /// Number of distinct indexed keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
     }
 
     /// Row positions holding the given rendered value.
@@ -105,7 +99,6 @@ mod tests {
         assert_eq!(idx.lookup("P1"), &[0, 2]);
         assert_eq!(idx.lookup("P2"), &[1]);
         assert!(idx.lookup("missing").is_empty());
-        assert_eq!(idx.key_count(), 2);
         assert!(idx.contains("P2"));
         assert_eq!(idx.table(), "t");
         assert_eq!(idx.column(), "acc");
@@ -134,7 +127,6 @@ mod tests {
         let t = table();
         let idx = HashIndex::build(&t, "id").unwrap();
         assert_eq!(idx.lookup("3"), &[2]);
-        assert_eq!(idx.key_count(), 4);
     }
 
     #[test]

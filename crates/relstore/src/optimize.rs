@@ -61,7 +61,7 @@ use crate::analyze::{conjunction_satisfiability, expr_is_well_typed, Satisfiabil
 use crate::catalog::Database;
 use crate::error::RelResult;
 use crate::exec::aggregate_schema;
-use crate::expr::{BinaryOp, Expr};
+use crate::expr::{as_column_cmp_literal, split_conjuncts, BinaryOp, Expr};
 use crate::plan::{AggFunc, JoinType, LogicalPlan};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::table::Table;
@@ -346,21 +346,6 @@ fn rewrite_filter(db: &Database, node: LogicalPlan) -> LogicalPlan {
     }
 }
 
-/// Split a predicate into its AND-ed conjuncts.
-fn split_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Binary {
-        op: BinaryOp::And,
-        left,
-        right,
-    } = e
-    {
-        split_conjuncts(left, out);
-        split_conjuncts(right, out);
-    } else {
-        out.push(e.clone());
-    }
-}
-
 /// Rebuild a conjunction; `None` for an empty list.
 fn conjoin(parts: Vec<Expr>) -> Option<Expr> {
     parts.into_iter().reduce(Expr::and)
@@ -501,7 +486,7 @@ fn rewrite_scan_filter(db: &Database, table: String, predicate: Expr) -> Logical
     // Find the eligible equality conjunct with the fewest estimated matches.
     let mut best: Option<(usize, String, Value, f64)> = None;
     for (i, conjunct) in conjuncts.iter().enumerate() {
-        let Some((column, value)) = as_column_eq_literal(conjunct) else {
+        let Some((column, BinaryOp::Eq, value)) = as_column_cmp_literal(conjunct) else {
             continue;
         };
         let Some(def) = t.schema().column(column) else {
@@ -540,27 +525,6 @@ fn rewrite_scan_filter(db: &Database, table: String, predicate: Expr) -> Logical
         },
         None => scan,
     }
-}
-
-/// Match `column = literal` (either orientation), excluding NULL literals.
-fn as_column_eq_literal(e: &Expr) -> Option<(&str, &Value)> {
-    let Expr::Binary {
-        op: BinaryOp::Eq,
-        left,
-        right,
-    } = e
-    else {
-        return None;
-    };
-    let (column, value) = match (&**left, &**right) {
-        (Expr::Column(c), Expr::Literal(v)) => (c.as_str(), v),
-        (Expr::Literal(v), Expr::Column(c)) => (c.as_str(), v),
-        _ => return None,
-    };
-    if value.is_null() {
-        return None;
-    }
-    Some((column, value))
 }
 
 // ---------------------------------------------------------------------------
@@ -744,7 +708,7 @@ fn rewrite_join(db: &Database, node: LogicalPlan) -> LogicalPlan {
 // ---------------------------------------------------------------------------
 
 /// Derive the output schema of a plan without executing it.
-pub fn schema_of(db: &Database, plan: &LogicalPlan) -> RelResult<TableSchema> {
+fn schema_of(db: &Database, plan: &LogicalPlan) -> RelResult<TableSchema> {
     match plan {
         LogicalPlan::Scan { table } | LogicalPlan::IndexScan { table, .. } => {
             Ok(db.table(table)?.schema().clone())
@@ -833,8 +797,8 @@ fn selectivity(db: &Database, input: &LogicalPlan, predicate: &Expr) -> f64 {
         let s = match conjunct {
             Expr::Binary {
                 op: BinaryOp::Eq, ..
-            } => match (as_column_eq_literal(conjunct), input) {
-                (Some((column, _)), LogicalPlan::Scan { table }) => {
+            } => match (as_column_cmp_literal(conjunct), input) {
+                (Some((column, _, value)), LogicalPlan::Scan { table }) if !value.is_null() => {
                     match (db.column_stats(table, column), db.table(table)) {
                         (Ok(stats), Ok(t)) if t.row_count() > 0 => {
                             (stats.estimated_eq_rows() / t.row_count() as f64).clamp(0.0, 1.0)

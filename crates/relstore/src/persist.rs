@@ -1,7 +1,6 @@
 //! Checksummed snapshots and the durable database wrapper.
 //!
-//! The vendored `serde` is a no-op facade (the container is offline), so
-//! persistence uses a small hand-rolled little-endian binary codec for
+//! Persistence uses a small hand-rolled little-endian binary codec for
 //! [`Value`], [`TableSchema`], [`Table`], [`Constraint`] and [`Database`].
 //! A snapshot file is
 //!
@@ -9,9 +8,9 @@
 //! magic("ALDSNAP1")  seq:u64  len:u64  payload[len]  crc:u32
 //! ```
 //!
-//! written atomically via temp-file + rename ([`write_atomic`]), with the CRC
-//! covering `seq || len || payload`, so a half-written or bit-flipped
-//! snapshot is detected and skipped in favour of an older one.
+//! written atomically via temp-file + rename, with the CRC covering
+//! `seq || len || payload`, so a half-written or bit-flipped snapshot is
+//! detected and skipped in favour of an older one.
 //!
 //! [`DurableDatabase`] combines a snapshot with the write-ahead log of
 //! [`crate::wal`]: every committed [`Mutation`] batch is validated, appended
@@ -36,11 +35,11 @@ use crate::wal::{self, Wal};
 use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ALDSNAP1";
+const SNAPSHOT_MAGIC: [u8; 8] = *b"ALDSNAP1";
 
 /// First 8 bytes of a small checksummed blob ([`write_blob`]), used for
 /// generation markers and other tiny metadata files.
-pub const BLOB_MAGIC: [u8; 8] = *b"ALDBLOB1";
+const BLOB_MAGIC: [u8; 8] = *b"ALDBLOB1";
 
 fn dur(msg: impl Into<String>) -> RelError {
     RelError::Durability(msg.into())
@@ -292,7 +291,7 @@ fn decode_constraint(cur: &mut Cursor<'_>) -> RelResult<Constraint> {
 }
 
 /// Encode a whole [`Database`] (name, tables, constraints) to bytes.
-pub fn encode_database(db: &Database) -> Vec<u8> {
+fn encode_database(db: &Database) -> Vec<u8> {
     let mut buf = Vec::new();
     put_str(&mut buf, db.name());
     put_u32(&mut buf, db.table_count() as u32);
@@ -310,7 +309,7 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
 /// constraints are re-validated through the normal catalog paths, so a
 /// corrupt-but-checksum-valid payload cannot produce an inconsistent
 /// catalog.
-pub fn decode_database(bytes: &[u8]) -> RelResult<Database> {
+fn decode_database(bytes: &[u8]) -> RelResult<Database> {
     let mut cur = Cursor::new(bytes);
     let name = cur.str()?;
     let mut db = Database::new(name);
@@ -380,7 +379,7 @@ pub fn diff_databases(a: &Database, b: &Database) -> Option<String> {
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, rename over the target, then best-effort fsync of the directory.
 /// A crash leaves either the old file or the new one, never a mix.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> RelResult<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> RelResult<()> {
     let dir = path
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
@@ -517,7 +516,7 @@ pub enum Mutation {
 }
 
 /// Encode a mutation batch into one WAL record payload.
-pub fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
+fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, batch.len() as u32);
     for m in batch {
@@ -552,7 +551,7 @@ pub fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
 }
 
 /// Decode a WAL record payload back into a mutation batch.
-pub fn decode_batch(bytes: &[u8]) -> RelResult<Vec<Mutation>> {
+fn decode_batch(bytes: &[u8]) -> RelResult<Vec<Mutation>> {
     let mut cur = Cursor::new(bytes);
     let n = cur.u32()? as usize;
     let mut batch = Vec::with_capacity(n.min(1 << 20));
@@ -676,7 +675,7 @@ fn validate_batch(db: &Database, batch: &[Mutation]) -> RelResult<()> {
 
 /// Apply a (validated or replayed) batch to a database through the normal
 /// catalog paths.
-pub fn apply_batch(db: &mut Database, batch: &[Mutation]) -> RelResult<()> {
+fn apply_batch(db: &mut Database, batch: &[Mutation]) -> RelResult<()> {
     for m in batch {
         match m {
             Mutation::CreateTable { name, schema } => db.create_table(name, schema.clone())?,

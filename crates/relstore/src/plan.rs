@@ -3,11 +3,10 @@
 
 use crate::expr::Expr;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Join type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinType {
     /// Inner equi-join.
     Inner,
@@ -16,7 +15,7 @@ pub enum JoinType {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// COUNT(*) or COUNT(column) (non-null count).
     Count,
@@ -44,7 +43,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// An aggregate expression: a function over a column (or `*` for COUNT).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aggregate {
     /// The aggregate function.
     pub func: AggFunc,
@@ -75,7 +74,7 @@ impl Aggregate {
 }
 
 /// A sort key: column name plus direction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortKey {
     /// Column to sort by.
     pub column: String,
@@ -98,7 +97,7 @@ pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// A logical query plan over a [`crate::Database`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Scan a named base table.
     Scan {
@@ -406,33 +405,6 @@ impl LogicalPlan {
     pub fn fingerprint(&self) -> u64 {
         fingerprint_bytes(format!("{self:?}").as_bytes())
     }
-
-    /// Names of base tables referenced by the plan (depth-first, with
-    /// duplicates removed, preserving first occurrence).
-    pub fn referenced_tables(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        self.collect_tables(&mut out);
-        let mut seen = std::collections::HashSet::new();
-        out.retain(|t| seen.insert(t.to_ascii_lowercase()));
-        out
-    }
-
-    fn collect_tables<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            LogicalPlan::Scan { table } | LogicalPlan::IndexScan { table, .. } => out.push(table),
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Offset { input, .. } => input.collect_tables(out),
-            LogicalPlan::Join { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-            LogicalPlan::Empty { .. } => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -467,25 +439,6 @@ mod tests {
             },
             _ => panic!("unexpected plan shape"),
         }
-        assert_eq!(plan.referenced_tables(), vec!["bioentry"]);
-    }
-
-    #[test]
-    fn referenced_tables_deduplicates() {
-        let plan = LogicalPlan::scan("bioentry").join(
-            LogicalPlan::scan("dbref").join(
-                LogicalPlan::scan("bioentry"),
-                "bioentry_id",
-                "bioentry_id",
-                "dbref",
-                "bioentry",
-            ),
-            "bioentry_id",
-            "bioentry_id",
-            "bioentry",
-            "dbref",
-        );
-        assert_eq!(plan.referenced_tables(), vec!["bioentry", "dbref"]);
     }
 
     #[test]
@@ -507,7 +460,6 @@ mod tests {
             value: Value::text("P11111"),
         };
         assert_eq!(idx.explain(), "IndexScan bioentry.accession = 'P11111'\n");
-        assert_eq!(idx.referenced_tables(), vec!["bioentry"]);
     }
 
     #[test]

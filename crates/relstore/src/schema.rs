@@ -2,11 +2,10 @@
 
 use crate::error::{RelError, RelResult};
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (case is preserved, lookups are case-insensitive).
     pub name: String,
@@ -66,7 +65,7 @@ pub enum ColumnResolution {
 }
 
 /// The schema of a table: an ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TableSchema {
     columns: Vec<ColumnDef>,
 }

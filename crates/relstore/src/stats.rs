@@ -11,12 +11,11 @@
 use crate::error::RelResult;
 use crate::table::Table;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Character-class composition of a text column, as fractions of non-null
 /// values.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CharClassProfile {
     /// Fraction of values consisting only of ASCII digits.
     pub all_digits: f64,
@@ -36,7 +35,7 @@ pub struct CharClassProfile {
 }
 
 /// Statistics for a single column of a single table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Table name.
     pub table: String,

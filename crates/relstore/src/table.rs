@@ -3,7 +3,6 @@
 use crate::error::{RelError, RelResult};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A single row: values in schema column order.
@@ -15,7 +14,7 @@ pub type Row = Vec<Value>;
 /// rows (imports, duplicate detection) about as often as whole columns
 /// (uniqueness checks, value-set comparisons); column access is provided by
 /// [`Table::column_values`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: TableSchema,
@@ -51,11 +50,6 @@ impl Table {
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Rename the table (used by importers when disambiguating source names).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// The table schema.
@@ -184,13 +178,6 @@ impl Table {
             .ok_or_else(|| RelError::Exec(format!("row {row_idx} out of range")))
     }
 
-    /// Find the first row index where `column` equals `value` (strict
-    /// equality).
-    pub fn find_first(&self, column: &str, value: &Value) -> RelResult<Option<usize>> {
-        let idx = self.column_index(column)?;
-        Ok(self.rows.iter().position(|r| &r[idx] == value))
-    }
-
     /// An empty table with the same name and schema.
     pub fn empty_like(&self) -> Table {
         Table::new(self.name.clone(), self.schema.clone())
@@ -305,14 +292,14 @@ mod tests {
     #[test]
     fn find_first_and_cell() {
         let t = bioentry();
-        let idx = t.find_first("accession", &Value::text("P67890")).unwrap();
-        assert_eq!(idx, Some(1));
+        let index = crate::index::HashIndex::build(&t, "accession").unwrap();
+        assert_eq!(index.lookup("P67890").first(), Some(&1));
         assert_eq!(
             t.cell(1, "description").unwrap(),
             &Value::text("phosphatase")
         );
         assert!(t.cell(9, "description").is_err());
-        assert!(t.find_first("nope", &Value::Null).is_err());
+        assert!(t.cell(1, "nope").is_err());
     }
 
     #[test]

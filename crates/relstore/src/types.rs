@@ -1,13 +1,12 @@
 //! Data types of the relational substrate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The dynamic data types supported by the substrate.
 ///
 /// Life-science sources imported by generic parsers are overwhelmingly text
 /// plus surrogate integer keys, so the type lattice is intentionally small.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Integer,

@@ -1,7 +1,6 @@
 //! Dynamic values with a total order.
 
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -12,7 +11,7 @@ use std::hash::{Hash, Hasher};
 /// integers/floats by numeric value, then text lexicographically) so that it
 /// can be used directly as a sort key and inside `BTreeMap`s by the executor
 /// and the statistics collector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL / missing value.
     Null,
@@ -57,23 +56,6 @@ impl Value {
     /// True if the value is NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-
-    /// Borrow the text content if this is a text value.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Integer content, widening booleans, if applicable.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Bool(b) => Some(i64::from(*b)),
-            _ => None,
-        }
     }
 
     /// Numeric content as f64 (ints widen), if applicable.
@@ -142,16 +124,6 @@ impl Value {
             Value::Text(s) => s == target,
             other => other.render() == target,
         }
-    }
-
-    /// A coarse equality used for value-set comparisons in foreign-key and
-    /// cross-reference discovery: values compare by their rendered text so
-    /// that `Int(7)` in one parser's output links to `Text("7")` in another's.
-    pub fn loose_eq(&self, other: &Value) -> bool {
-        if self.is_null() || other.is_null() {
-            return false;
-        }
-        self == other || self.render() == other.render()
     }
 }
 
@@ -318,14 +290,6 @@ mod tests {
         assert_eq!(vals[0], Value::Null);
         assert_eq!(vals[1], Value::Bool(true));
         assert_eq!(vals.last().unwrap(), &Value::text("abc"));
-    }
-
-    #[test]
-    fn loose_eq_bridges_representations() {
-        assert!(Value::Int(7).loose_eq(&Value::text("7")));
-        assert!(!Value::Null.loose_eq(&Value::Null));
-        assert!(Value::text("P12345").loose_eq(&Value::text("P12345")));
-        assert!(!Value::text("P12345").loose_eq(&Value::text("Q12345")));
     }
 
     #[test]

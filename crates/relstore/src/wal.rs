@@ -33,11 +33,11 @@ use std::path::{Path, PathBuf};
 pub const WAL_MAGIC: [u8; 8] = *b"ALADWAL1";
 
 /// Bytes of the per-record header (`len + crc + seq`).
-pub const FRAME_HEADER_LEN: usize = 16;
+const FRAME_HEADER_LEN: usize = 16;
 
 /// Upper bound on a single record payload; anything larger in a length
 /// prefix is treated as corruption rather than attempted as an allocation.
-pub const MAX_PAYLOAD_LEN: u32 = 1 << 30;
+const MAX_PAYLOAD_LEN: u32 = 1 << 30;
 
 // CRC32 (IEEE 802.3), table-driven; computed at compile time so the crate
 // needs no checksum dependency.

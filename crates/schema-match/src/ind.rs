@@ -9,11 +9,10 @@
 //! the values of a potential target, we assume a 1:1 relationship."
 
 use aladin_relstore::{Database, RelResult, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Cardinality of a guessed relationship.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cardinality {
     /// Source values are a proper subset of target values: 1:N.
     OneToMany,
@@ -23,7 +22,7 @@ pub enum Cardinality {
 
 /// A discovered (or declared) inclusion dependency
 /// `source_table.source_column ⊆ target_table.target_column`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InclusionDependency {
     /// Referencing table.
     pub source_table: String,

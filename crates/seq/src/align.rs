@@ -10,10 +10,9 @@
 //! [`ScoringScheme::substitution`] scores per distinct query byte.
 
 use crate::score::ScoringScheme;
-use serde::{Deserialize, Serialize};
 
 /// The result of a local alignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alignment {
     /// Alignment score under the scoring scheme.
     pub score: i32,

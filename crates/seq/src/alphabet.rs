@@ -1,9 +1,7 @@
 //! Sequence alphabets and detection.
 
-use serde::{Deserialize, Serialize};
-
 /// The biological sequence alphabets recognized by the substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Alphabet {
     /// DNA: A, C, G, T (N as ambiguity code).
     Dna,

@@ -22,10 +22,9 @@ use crate::alphabet::Alphabet;
 use crate::bound::{may_reach, Composition};
 use crate::kmer::KmerIndex;
 use crate::score::ScoringScheme;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the seeded homology search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlastParams {
     /// K-mer word size used for seeding (BLAST uses 11 for DNA, 3 for
     /// proteins; the defaults here follow that split).
@@ -64,7 +63,7 @@ impl BlastParams {
 }
 
 /// A reported homology hit between a query and an indexed subject.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomologyHit {
     /// Identifier of the subject sequence (as registered in the index).
     pub subject_id: String,
@@ -85,7 +84,7 @@ impl HomologyHit {
 }
 
 /// A searchable collection of subject sequences.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlastIndex {
     params: BlastParams,
     scheme: ScoringScheme,
@@ -106,22 +105,6 @@ impl BlastIndex {
             sequences: Vec::new(),
             compositions: Vec::new(),
         }
-    }
-
-    /// Create an index with explicit parameters and scoring scheme.
-    pub fn with_params(params: BlastParams, scheme: ScoringScheme) -> BlastIndex {
-        BlastIndex {
-            kmers: KmerIndex::new(params.word_size),
-            scheme,
-            params,
-            sequences: Vec::new(),
-            compositions: Vec::new(),
-        }
-    }
-
-    /// The search parameters.
-    pub fn params(&self) -> &BlastParams {
-        &self.params
     }
 
     /// Number of indexed subject sequences.
@@ -322,7 +305,7 @@ mod tests {
     fn a_score_equal_to_min_score_is_a_hit() {
         let mut idx = BlastIndex::new(Alphabet::Protein);
         idx.add("prot_a", "MKTAYI");
-        assert_eq!(idx.params().min_score, 30);
+        assert_eq!(idx.params.min_score, 30);
         for hits in [idx.search("MKTAYI"), idx.search_exact("MKTAYI")] {
             assert_eq!(hits.len(), 1);
             assert_eq!(hits[0].subject_id, "prot_a");

@@ -1,11 +1,10 @@
 //! K-mer indexing of sequence collections (the seeding stage of homology
 //! search).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An index from k-mers to the sequences (and offsets) containing them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KmerIndex {
     k: usize,
     /// k-mer → list of (sequence ordinal, offset)

@@ -1,11 +1,10 @@
 //! Substitution scoring and gap penalties.
 
 use crate::alphabet::Alphabet;
-use serde::{Deserialize, Serialize};
 
 /// A scoring scheme for pairwise alignment: substitution scores plus linear
 /// gap penalties.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoringScheme {
     /// Score for aligning two identical residues (nucleotide mode) — ignored
     /// in protein mode where the substitution matrix decides.

@@ -41,7 +41,7 @@ pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
 }
 
 /// Jaro similarity in `[0, 1]`.
-pub fn jaro(a: &str, b: &str) -> f64 {
+fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() && b.is_empty() {
@@ -122,33 +122,6 @@ pub fn containment<T: std::hash::Hash + Eq>(a: &[T], b: &[T]) -> f64 {
     sa.intersection(&sb).count() as f64 / sa.len() as f64
 }
 
-/// Longest common substring length between two strings; the paper's explicit
-/// cross-reference matching ("finding common substrings") uses this to align
-/// composite identifiers like `"Uniprot:P11140"` with plain accession values.
-pub fn longest_common_substring(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    let mut best = 0usize;
-    let mut prev = vec![0usize; b.len() + 1];
-    let mut curr = vec![0usize; b.len() + 1];
-    for ca in a.iter() {
-        for (j, cb) in b.iter().enumerate() {
-            if ca == cb {
-                curr[j + 1] = prev[j] + 1;
-                best = best.max(curr[j + 1]);
-            } else {
-                curr[j + 1] = 0;
-            }
-        }
-        std::mem::swap(&mut prev, &mut curr);
-        curr.fill(0);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,16 +169,5 @@ mod tests {
         let empty: Vec<&str> = vec![];
         assert_eq!(jaccard(&empty, &empty), 1.0);
         assert_eq!(containment(&empty, &a), 0.0);
-    }
-
-    #[test]
-    fn lcs_finds_embedded_accessions() {
-        assert_eq!(longest_common_substring("Uniprot:P11140", "P11140"), 6);
-        assert_eq!(longest_common_substring("abc", "xyz"), 0);
-        assert_eq!(longest_common_substring("", "xyz"), 0);
-        assert_eq!(
-            longest_common_substring("ENSG00000042753", "ENSG00000042753"),
-            15
-        );
     }
 }

@@ -8,11 +8,10 @@
 //! that vertical/horizontal partition filters can be applied at query time.
 
 use crate::tokenize::tokenize_without_stopwords;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A document registered in the index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Document {
     id: String,
     source: String,
@@ -21,7 +20,7 @@ struct Document {
 }
 
 /// A ranked search hit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchHit {
     /// Caller-supplied document identifier.
     pub doc_id: String,
@@ -81,7 +80,7 @@ impl SearchFilter {
 }
 
 /// An inverted index over text documents with TF-IDF ranking.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     documents: Vec<Document>,
     /// term → (document ordinal → term frequency)
@@ -97,11 +96,6 @@ impl InvertedIndex {
     /// Number of indexed documents.
     pub fn doc_count(&self) -> usize {
         self.documents.len()
-    }
-
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.postings.len()
     }
 
     /// Add a document. `doc_id` should be unique per (source, field, object);
@@ -212,7 +206,6 @@ mod tests {
     fn counts() {
         let idx = index();
         assert_eq!(idx.doc_count(), 4);
-        assert!(idx.term_count() > 5);
     }
 
     #[test]

@@ -52,19 +52,6 @@ pub fn qgram_similarity(a: &str, b: &str, q: usize) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Dice coefficient over q-gram sets (ignoring multiplicities); slightly more
-/// forgiving than Jaccard for short strings such as accession numbers.
-pub fn qgram_dice(a: &str, b: &str, q: usize) -> f64 {
-    use std::collections::HashSet;
-    let sa: HashSet<String> = qgram_profile(a, q).into_keys().collect();
-    let sb: HashSet<String> = qgram_profile(b, q).into_keys().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    2.0 * inter as f64 / (sa.len() + sb.len()) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,14 +98,5 @@ mod tests {
         let s1 = qgram_similarity("aaaa", "aa", 2);
         let s2 = qgram_similarity("aaaa", "aaaa", 2);
         assert!(s1 < s2);
-    }
-
-    #[test]
-    fn dice_in_range_and_symmetric() {
-        let d1 = qgram_dice("P12345", "P12346", 2);
-        let d2 = qgram_dice("P12346", "P12345", 2);
-        assert!((d1 - d2).abs() < 1e-12);
-        assert!(d1 > 0.0 && d1 < 1.0);
-        assert_eq!(qgram_dice("", "", 2), 1.0);
     }
 }

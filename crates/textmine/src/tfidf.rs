@@ -23,7 +23,6 @@
 //! document frequencies behind [`TfIdfModel::idf`].
 
 use crate::tokenize::tokenize_without_stopwords;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
@@ -41,7 +40,7 @@ pub type SparseVector = BTreeMap<String, f64>;
 /// Documents are identified by the caller (usually `source/table/row`
 /// coordinates); the model stores document frequencies, and the fitted
 /// documents' L2-normalized vectors as per-term postings.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TfIdfModel {
     /// Number of documents the model was fitted on.
     doc_count: usize,

@@ -35,7 +35,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 
 /// Common English and annotation-boilerplate stop words that carry no linking
 /// signal. Kept deliberately small; life-science descriptions are terse.
-pub const STOP_WORDS: &[&str] = &[
+const STOP_WORDS: &[&str] = &[
     "the",
     "a",
     "an",
@@ -71,17 +71,6 @@ pub fn tokenize_without_stopwords(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Extract word n-grams (as joined strings) from a token list; used by the
-/// entity recognizer to match multi-word dictionary entries.
-pub fn word_ngrams(tokens: &[String], n: usize) -> Vec<String> {
-    if n == 0 || tokens.len() < n {
-        return Vec::new();
-    }
-    (0..=tokens.len() - n)
-        .map(|i| tokens[i..i + n].join(" "))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,18 +98,6 @@ mod tests {
     fn stop_words_removed() {
         let toks = tokenize_without_stopwords("the kinase of the cell");
         assert_eq!(toks, vec!["kinase", "cell"]);
-    }
-
-    #[test]
-    fn word_ngrams_produced_in_order() {
-        let toks = tokenize("tumor necrosis factor alpha");
-        assert_eq!(
-            word_ngrams(&toks, 2),
-            vec!["tumor necrosis", "necrosis factor", "factor alpha"]
-        );
-        assert_eq!(word_ngrams(&toks, 4), vec!["tumor necrosis factor alpha"]);
-        assert!(word_ngrams(&toks, 5).is_empty());
-        assert!(word_ngrams(&toks, 0).is_empty());
     }
 
     #[test]

@@ -10,7 +10,8 @@ use aladin::datagen::{
     duplicate_last_wal_record, swap_last_two_wal_records, truncate_wal_mid_record, Corpus,
     CorpusConfig,
 };
-use std::path::PathBuf;
+use aladin::relstore::{persist, Database};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -186,5 +187,96 @@ fn refresh_persists_the_new_version_of_a_source() {
     let (reopened, recovery) = Aladin::open(AladinConfig::default().with_data_dir(&dir)).unwrap();
     assert_eq!(recovery.lost, Vec::<String>::new());
     assert_eq!(canonical(&fingerprint(&reopened)), after);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The corpus source at `index`, re-imported with one table emptied: a
+/// release whose published and refreshed versions differ.
+fn release_with_an_emptied_table(corpus: &Corpus, index: usize) -> Database {
+    let dump = &corpus.sources[index];
+    let mut db = aladin::import::import_files(&dump.name, dump.format, &dump.files).unwrap();
+    let table = db.table_names()[0].to_string();
+    db.table_mut(&table).unwrap().retain(|_| false);
+    db
+}
+
+/// Every `.next` file left in the store's `sources/` directory.
+fn pending_snapshots(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir.join("sources"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "next"))
+        .collect()
+}
+
+/// The snapshot file of a source (corpus source names need no escaping).
+fn snapshot_of(dir: &Path, source: &str) -> PathBuf {
+    dir.join("sources").join(format!("{source}.snap"))
+}
+
+#[test]
+fn a_refresh_whose_commit_event_fails_is_not_what_recovery_serves() {
+    let corpus = corpus();
+    let dir = temp_dir("failed-append");
+    let mut live = integrate_durable(&corpus, &dir);
+    let published = canonical(&fingerprint(&live));
+
+    // The event log cannot be appended to: a directory stands in its place.
+    let log = dir.join("pipeline.wal");
+    let aside = dir.join("pipeline.wal.aside");
+    std::fs::rename(&log, &aside).unwrap();
+    std::fs::create_dir(&log).unwrap();
+    let release = release_with_an_emptied_table(&corpus, 0);
+    assert!(live.refresh_source(release, 1.0).is_err());
+    assert!(canonical(&fingerprint(&live)) == published);
+    drop(live);
+
+    std::fs::remove_dir(&log).unwrap();
+    std::fs::rename(&aside, &log).unwrap();
+    assert_eq!(pending_snapshots(&dir), Vec::<PathBuf>::new());
+    let (reopened, recovery) = Aladin::open(AladinConfig::default().with_data_dir(&dir)).unwrap();
+    assert_eq!(recovery.lost, Vec::<String>::new());
+    assert!(
+        canonical(&fingerprint(&reopened)) == published,
+        "recovery must serve the published version, not the uncommitted refresh"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_durable_commit_event_rolls_its_snapshot_forward() {
+    let corpus = corpus();
+    let dir = temp_dir("roll-forward");
+    let mut live = integrate_durable(&corpus, &dir);
+    let first = &corpus.sources[0].name;
+    let published = std::fs::read(snapshot_of(&dir, first)).unwrap();
+    let release = release_with_an_emptied_table(&corpus, 0);
+    let refreshed_rows = release.total_rows();
+    live.refresh_source(release, 1.0).unwrap();
+    let refreshed = canonical(&fingerprint(&live));
+    drop(live);
+
+    // Build the state of a crash after the commit event but before the
+    // rename: the refreshed version waits in `.next`, the published one
+    // still sits in `.snap`. Another source carries a stale `.next` whose
+    // stamp matches no commit event.
+    let snap = snapshot_of(&dir, first);
+    let next = snap.with_extension("snap.next");
+    std::fs::rename(&snap, &next).unwrap();
+    std::fs::write(&snap, &published).unwrap();
+    let second = &corpus.sources[1].name;
+    let stale = snapshot_of(&dir, second).with_extension("snap.next");
+    let release = release_with_an_emptied_table(&corpus, 1);
+    persist::write_snapshot_at(&stale, &release, u64::MAX).unwrap();
+
+    let (reopened, recovery) = Aladin::open(AladinConfig::default().with_data_dir(&dir)).unwrap();
+    assert_eq!(recovery.lost, Vec::<String>::new());
+    assert!(
+        canonical(&fingerprint(&reopened)) == refreshed,
+        "recovery must serve the committed refresh"
+    );
+    assert_eq!(pending_snapshots(&dir), Vec::<PathBuf>::new());
+    let (at_rest, _) = persist::read_snapshot(&snap).unwrap();
+    assert_eq!(at_rest.total_rows(), refreshed_rows);
     std::fs::remove_dir_all(&dir).ok();
 }
