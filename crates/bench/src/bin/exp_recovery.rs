@@ -1,25 +1,32 @@
-//! Recovery experiment and crash harness for the durable relstore.
+//! Recovery experiment and crash harness for the durable warehouse.
 //!
-//! Three modes:
+//! A durable warehouse (`AladinConfig::with_data_dir`) restarts through two
+//! disk reads before it re-integrates: it replays its event log
+//! (`relstore::wal`) and loads one checksummed snapshot per source
+//! (`relstore::persist`). Three modes:
 //!
-//! * **default / `--smoke`** — benchmark cold-start recovery time as a
-//!   function of WAL length, and against snapshot-based recovery, recording
-//!   the snapshot-compaction crossover (the WAL length beyond which taking
-//!   a checkpoint pays off at restart) in `BENCH_recovery.json`. `--smoke`
-//!   shrinks the sizes for CI.
+//! * **default / `--smoke`** — time both reads: `wal::replay` of logs of N
+//!   appended records, `rows_per_batch` rows each (`wal_replay`), and
+//!   `persist::read_snapshot` of one source snapshot holding the rows of
+//!   the longest log (`snapshot`). `crossover_records` is the log length
+//!   whose replay costs one snapshot load. Results go to
+//!   `BENCH_recovery.json`; `--smoke` shrinks the sizes for CI.
 //! * **`--writer <dir>`** — run a durable server that integrates and then
 //!   endlessly refreshes a synthetic corpus rooted at `<dir>`, printing a
 //!   line per committed generation. This is the kill -9 target of the CI
 //!   crash drill: it is meant to die mid-commit.
 //! * **`--check <dir>`** — reopen the store at `<dir>` after a crash and
-//!   verify integrity: every recovered source passes its constraint check
-//!   and a resumed server continues at (or after) the last published
-//!   generation. Exits non-zero on any violation.
+//!   verify integrity: no committed source is lost, no staged snapshot or
+//!   its temp file (`sources/*.next`) outlives the reopen, every recovered
+//!   source passes its constraint check, and a resumed server continues at
+//!   (or after) the last published generation. Exits non-zero on any
+//!   violation.
 
 use aladin_bench::print_table;
 use aladin_core::{AladinConfig, ServeConfig, Server};
 use aladin_datagen::{Corpus, CorpusConfig};
-use aladin_relstore::persist::{DurableDatabase, Mutation};
+use aladin_relstore::persist;
+use aladin_relstore::wal::{self, Wal};
 use aladin_relstore::{ColumnDef, Database, TableSchema, Value};
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -47,40 +54,56 @@ fn median_us<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn schema() -> TableSchema {
-    TableSchema::of(vec![
-        ColumnDef::int("id"),
-        ColumnDef::text("ac"),
-        ColumnDef::text("description"),
-    ])
+/// The accession and description of fixture row `id`.
+fn fixture_text(id: usize) -> (String, String) {
+    (
+        format!("P{id:06}"),
+        format!("synthetic protein number {id}"),
+    )
 }
 
-/// A durable store with `batches` committed insert batches of `rows_each`
-/// rows and no checkpoint (recovery must replay the whole WAL).
-fn store_with_wal(dir: &Path, batches: usize, rows_each: usize) -> DurableDatabase {
-    let mut store = DurableDatabase::open_named(dir, "bench").expect("open store");
-    store.set_checkpoint_every(0); // manual checkpoints only
-    store.set_sync(false); // building the fixture, not measuring commits
-    store
-        .commit(vec![Mutation::CreateTable {
-            name: "entry".into(),
-            schema: schema(),
-        }])
-        .expect("create table");
-    for b in 0..batches {
-        let rows = (0..rows_each)
-            .map(|r| {
-                let id = (b * rows_each + r) as i64;
-                vec![
-                    Value::Int(id),
-                    Value::text(format!("P{id:06}")),
-                    Value::text(format!("synthetic protein number {id}")),
-                ]
-            })
-            .collect();
-        store.commit_insert("entry", rows).expect("commit batch");
+/// Write a log of `records` fsync'd appends of `rows_each` fixture rows
+/// each, in the `persist` codec; returns the log's length in bytes.
+fn write_log(path: &Path, records: usize, rows_each: usize) -> u64 {
+    let mut log = Wal::create(path, 0).expect("create log");
+    for r in 0..records {
+        let mut payload = Vec::new();
+        for id in r * rows_each..(r + 1) * rows_each {
+            let (ac, description) = fixture_text(id);
+            persist::put_u64(&mut payload, id as u64);
+            persist::put_str(&mut payload, &ac);
+            persist::put_str(&mut payload, &description);
+        }
+        log.append(&payload).expect("append record");
     }
-    store
+    std::fs::metadata(path).expect("log length").len()
+}
+
+/// A source database holding `rows` fixture rows in one table.
+fn source_with_rows(rows: usize) -> Database {
+    let mut db = Database::new("bench");
+    db.create_table(
+        "entry",
+        TableSchema::of(vec![
+            ColumnDef::int("id"),
+            ColumnDef::text("ac"),
+            ColumnDef::text("description"),
+        ]),
+    )
+    .expect("create table");
+    db.insert_all(
+        "entry",
+        (0..rows).map(|id| {
+            let (ac, description) = fixture_text(id);
+            vec![
+                Value::Int(id as i64),
+                Value::text(ac),
+                Value::text(description),
+            ]
+        }),
+    )
+    .expect("insert rows");
+    db
 }
 
 fn bench(smoke: bool) {
@@ -91,6 +114,7 @@ fn bench(smoke: bool) {
     };
     let rows_each = 8;
     let iters = if smoke { 3 } else { 7 };
+    let dir = temp_dir("bench");
 
     let mut json = String::from("{\n");
     let _ = writeln!(
@@ -101,53 +125,47 @@ fn bench(smoke: bool) {
 
     let mut table: Vec<Vec<String>> = Vec::new();
     let mut points: Vec<(usize, f64)> = Vec::new();
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut last_dir = None;
-    for (i, &batches) in sizes.iter().enumerate() {
-        let dir = temp_dir(&format!("wal-{batches}"));
-        dirs.push(dir.clone());
-        let store = store_with_wal(&dir, batches, rows_each);
-        let wal_bytes = store.wal_len_bytes();
-        drop(store);
+    for (i, &records) in sizes.iter().enumerate() {
+        let log = dir.join(format!("log-{records}.wal"));
+        let wal_bytes = write_log(&log, records, rows_each);
         let us = median_us(iters, || {
-            let reopened = Database::open(&dir).expect("recover");
-            assert!(!reopened.recovery().found_damage());
-            assert_eq!(reopened.recovery().records_replayed, batches + 1);
+            let replay = wal::replay(&log, 0).expect("replay");
+            assert!(replay.truncated.is_none());
+            assert_eq!(replay.records.len(), records);
         });
-        points.push((batches, us));
+        points.push((records, us));
         table.push(vec![
-            batches.to_string(),
+            records.to_string(),
             wal_bytes.to_string(),
             format!("{us:.1}"),
         ]);
         let comma = if i + 1 < sizes.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"records\": {batches}, \"wal_bytes\": {wal_bytes}, \"recover_us\": {us:.1}}}{comma}"
+            "    {{\"records\": {records}, \"wal_bytes\": {wal_bytes}, \"recover_us\": {us:.1}}}{comma}"
         );
-        last_dir = Some((dir, batches));
     }
     json.push_str("  ],\n");
 
-    // Snapshot recovery at the largest size: checkpoint, then reopen —
-    // recovery now loads the snapshot instead of replaying the WAL.
-    let (dir, batches) = last_dir.expect("at least one size");
-    let mut store = Database::open(&dir).expect("reopen for checkpoint");
-    store.checkpoint().expect("checkpoint");
-    drop(store);
+    // One source snapshot holding every row of the longest log.
+    let records = *sizes.last().expect("at least one size");
+    let rows = records * rows_each;
+    let snapshot = dir.join("bench.snap");
+    persist::write_snapshot_at(&snapshot, &source_with_rows(rows), records as u64)
+        .expect("write snapshot");
     let snap_us = median_us(iters, || {
-        let reopened = Database::open(&dir).expect("recover from snapshot");
-        assert!(!reopened.recovery().found_damage());
-        assert_eq!(reopened.recovery().records_replayed, 0);
+        let (db, seq) = persist::read_snapshot(&snapshot).expect("load snapshot");
+        assert_eq!(seq, records as u64);
+        assert_eq!(db.total_rows(), rows);
     });
     let _ = writeln!(
         json,
-        "  \"snapshot\": {{\"records\": {batches}, \"recover_us\": {snap_us:.1}}},"
+        "  \"snapshot\": {{\"records\": {records}, \"recover_us\": {snap_us:.1}}},"
     );
 
-    // Crossover: replay time grows linearly with WAL length, snapshot load
-    // is (near-)constant. Fit replay = base + n * per_record from the first
-    // and last points; the crossover is where replay exceeds snapshot load.
+    // Crossover: replay time grows linearly with log length, one snapshot
+    // load is fixed. Fit replay = base + n * per_record from the first and
+    // last points; the crossover is the length whose replay costs one load.
     let (n0, t0) = points[0];
     let (n1, t1) = points[points.len() - 1];
     let per_record = ((t1 - t0) / (n1 - n0) as f64).max(1e-3);
@@ -158,12 +176,12 @@ fn bench(smoke: bool) {
     json.push_str("}\n");
 
     print_table(
-        "Cold-start recovery: WAL replay (median µs)",
+        "Restart read 1: event-log replay (median µs)",
         &["wal_records", "wal_bytes", "recover_us"],
         &table,
     );
     print_table(
-        "Snapshot recovery and compaction crossover",
+        "Restart read 2: one source snapshot load, and the crossover",
         &[
             "snapshot_recover_us",
             "replay_per_record_us",
@@ -176,9 +194,7 @@ fn bench(smoke: bool) {
         ]],
     );
 
-    for dir in dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let _ = std::fs::remove_dir_all(dir);
     std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
     println!("\nwrote BENCH_recovery.json");
 }
@@ -247,6 +263,18 @@ fn check(dir: &Path) {
     );
     if !recovery.lost.is_empty() {
         eprintln!("check: lost committed sources: {:?}", recovery.lost);
+        std::process::exit(1);
+    }
+    // `open` renames every committed `.next` onto its snapshot and deletes
+    // the rest, temp files of interrupted writes included.
+    let staged: Vec<String> = std::fs::read_dir(dir.join("sources"))
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".next"))
+        .collect();
+    if !staged.is_empty() {
+        eprintln!("check: staged files left after recovery: {staged:?}");
         std::process::exit(1);
     }
     for source in aladin.source_names() {

@@ -88,13 +88,6 @@ pub struct Link {
     pub evidence: String,
 }
 
-impl Link {
-    /// True if this link connects the two given objects, in either direction.
-    pub fn connects(&self, a: &ObjectRef, b: &ObjectRef) -> bool {
-        (&self.from == a && &self.to == b) || (&self.from == b && &self.to == a)
-    }
-}
-
 /// A detected primary relation of a source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrimaryRelation {
@@ -330,8 +323,8 @@ pub struct Neighbour {
 /// A prebuilt adjacency map over every stored link (including duplicates),
 /// indexed by object. Building it once is `O(links)`; afterwards every
 /// neighbourhood lookup is `O(1)` instead of a scan over the whole link set —
-/// each [`crate::access::Warehouse`] builds one, once, rather than calling
-/// [`MetadataRepository::links_of`] per object.
+/// each [`crate::access::Warehouse`] builds one, once, and answers every
+/// neighbourhood from it.
 #[derive(Debug, Clone, Default)]
 pub struct LinkAdjacency {
     map: HashMap<ObjectRef, Vec<Neighbour>>,
@@ -441,19 +434,6 @@ impl MetadataRepository {
         &self.duplicates
     }
 
-    /// Links attached to a given object (as source or target), including
-    /// duplicates.
-    ///
-    /// This scans the whole link set; callers that look up more than one
-    /// object should use [`MetadataRepository::build_adjacency`] instead.
-    pub fn links_of(&self, object: &ObjectRef) -> Vec<&Link> {
-        self.links
-            .iter()
-            .chain(self.duplicates.iter())
-            .filter(|l| &l.from == object || &l.to == object)
-            .collect()
-    }
-
     /// Build the adjacency map over every stored link and duplicate, in both
     /// directions. Each object's neighbour list is sorted by descending score
     /// (ties broken by neighbour identity, then kind) so traversal order is
@@ -534,17 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn link_connects_is_symmetric() {
-        let l = link("P1", "1ABC", LinkKind::ExplicitCrossRef);
-        let a = ObjectRef::new("protkb", "protkb_entry", "P1");
-        let b = ObjectRef::new("structdb", "structures", "1ABC");
-        assert!(l.connects(&a, &b));
-        assert!(l.connects(&b, &a));
-        let c = ObjectRef::new("structdb", "structures", "9ZZZ");
-        assert!(!l.connects(&a, &c));
-    }
-
-    #[test]
     fn repository_stores_and_filters() {
         let mut repo = MetadataRepository::new();
         repo.put_structure(SourceStructure {
@@ -564,10 +533,11 @@ mod tests {
         assert_eq!(repo.links().len(), 1);
         assert_eq!(repo.duplicates().len(), 1);
 
+        let adjacency = repo.build_adjacency();
         let obj = ObjectRef::new("protkb", "protkb_entry", "P1");
-        assert_eq!(repo.links_of(&obj).len(), 2);
+        assert_eq!(adjacency.neighbours(&obj).len(), 2);
         let other = ObjectRef::new("protkb", "protkb_entry", "P9");
-        assert!(repo.links_of(&other).is_empty());
+        assert!(adjacency.neighbours(&other).is_empty());
     }
 
     #[test]

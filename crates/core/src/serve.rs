@@ -142,23 +142,20 @@ impl Snapshot {
     }
 }
 
-/// Write the published-generation marker: a tiny checksummed blob naming
-/// the generation and the sources it covers, written atomically to
-/// `<data_dir>/GENERATION` *before* the in-memory snapshot swap — a crash
-/// between the two leaves a marker no higher than what the next publish
-/// will (deterministically) reproduce.
-fn write_generation_marker(dir: &Path, generation: u64, sources: &[&str]) -> Result<(), RelError> {
+/// Write the published-generation marker: a tiny checksummed blob holding
+/// the generation, written atomically to `<data_dir>/GENERATION` *before*
+/// the in-memory snapshot swap — a crash between the two leaves a marker no
+/// higher than what the next publish will (deterministically) reproduce.
+fn write_generation_marker(dir: &Path, generation: u64) -> Result<(), RelError> {
     let mut payload = Vec::new();
     persist::put_u64(&mut payload, generation);
-    persist::put_u32(&mut payload, sources.len() as u32);
-    for s in sources {
-        persist::put_str(&mut payload, s);
-    }
     persist::write_blob(&dir.join("GENERATION"), &payload)
 }
 
 /// Read the published-generation marker. A missing or corrupt marker is
-/// `None` — resume proceeds from the recovered state without one.
+/// `None` — resume proceeds from the recovered state without one. Only the
+/// leading generation is read, so a marker that also lists the published
+/// sources after it still decodes.
 fn read_generation_marker(dir: &Path) -> Option<u64> {
     let blob = persist::read_blob(&dir.join("GENERATION")).ok()?;
     persist::Cursor::new(&blob).u64().ok()
@@ -426,12 +423,9 @@ impl Server {
     /// for in-memory configurations.
     fn publish_marker(master: &Aladin, generation: u64) -> AladinResult<()> {
         if let Some(dir) = &master.config().data_dir {
-            let names = master.source_names();
-            write_generation_marker(dir, generation, &names).map_err(|cause| {
-                AladinError::Durability {
-                    context: "publishing generation marker".into(),
-                    cause,
-                }
+            write_generation_marker(dir, generation).map_err(|cause| AladinError::Durability {
+                context: "publishing generation marker".into(),
+                cause,
             })?;
         }
         Ok(())

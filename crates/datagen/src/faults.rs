@@ -225,14 +225,15 @@ pub fn corrupt_bytes(dump: &SourceDump, config: &FaultConfig) -> Vec<(String, Ve
 // ---------------------------------------------------------------------------
 //
 // The text-level injectors above damage *dumps before import*; these damage
-// the *durable store after commit* — the on-disk write-ahead log of
-// `aladin_relstore::wal` — in the ways real disks and crashes do: torn final
-// records (power loss mid-append), flipped bits (media rot), duplicated and
-// reordered records (misdirected writes, replayed journals), and fsyncs
-// that report failure (dying devices; injected via
-// `aladin_relstore::persist::DurableDatabase::inject_fsync_failures`).
+// the *durable store after commit* — an on-disk write-ahead log of
+// `aladin_relstore::wal`, such as the warehouse's `pipeline.wal` — in the
+// ways real disks and crashes do: torn final records (power loss
+// mid-append), flipped bits (media rot), duplicated and reordered records
+// (misdirected writes, replayed journals), and fsyncs that report failure
+// (dying devices; injected via
+// `aladin_relstore::wal::Wal::inject_sync_failures`).
 // Recovery must survive every one of them losing at most the corrupted
-// tail; the recovery test suites drive these against `Database::open`.
+// tail; `tests/durability.rs` drives them against `Aladin::open`.
 
 fn disk_fault_err(context: &str, e: std::io::Error) -> RelError {
     RelError::Durability(format!("{context}: {e}"))

@@ -41,9 +41,9 @@
 //!   ... JOIN ... WHERE ... GROUP BY ... ORDER BY ... LIMIT`) so that the
 //!   "structured queries" access mode of ALADIN can be exercised end to end.
 //! * [`wal`], [`persist`] — durability: a CRC32-checksummed, fsync'd
-//!   write-ahead log of committed mutation batches plus atomic checksummed
-//!   snapshots, combined by [`DurableDatabase`] with cold-start recovery
-//!   (newest valid snapshot + WAL tail replay, truncating torn records).
+//!   append-only log whose replay truncates at the first torn or corrupt
+//!   record, plus atomic checksummed snapshots of a whole [`Database`]. The
+//!   integration pipeline commits each source as a snapshot and a log event.
 //! * [`index`] — hash indexes on single columns, used by the access engine,
 //!   by explicit-link discovery, and by the executor's `IndexScan` nodes via
 //!   the catalog's lazily built index cache ([`Database::hash_index`]).
@@ -77,7 +77,6 @@ pub use catalog::Database;
 pub use constraint::{Constraint, ForeignKey};
 pub use error::{RelError, RelResult};
 pub use expr::Expr;
-pub use persist::{DurableDatabase, Mutation, RecoveryReport};
 pub use plan::LogicalPlan;
 pub use schema::{ColumnDef, TableSchema};
 pub use table::{Row, Table};

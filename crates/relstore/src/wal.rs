@@ -1,9 +1,10 @@
 //! Append-only write-ahead log with checksummed, length-prefixed records.
 //!
-//! Every committed mutation batch of a [`crate::persist::DurableDatabase`]
-//! becomes one WAL record, fsync'd before the commit is acknowledged, so a
-//! crash can only ever lose the *uncommitted* tail. The format is built for
-//! recovery under damage, not for refusing to start:
+//! A record is an opaque payload, fsync'd before [`Wal::append`]
+//! acknowledges it, so a crash can only ever lose an *unacknowledged* tail.
+//! The integration pipeline appends one commit event per batch of sources
+//! (`pipeline.wal`). The format is built for recovery under damage, not for
+//! refusing to start:
 //!
 //! ```text
 //! file   := magic("ALADWAL1") record*
@@ -18,19 +19,18 @@
 //! length) plus the reason the tail was cut, and recovery physically
 //! truncates the file there ([`Wal::recover`]).
 //!
-//! The [`Wal`] write handle fsyncs on every append by default
-//! ([`Wal::set_sync`] trades durability for throughput in benchmarks) and
-//! supports injected fsync failures ([`Wal::inject_sync_failures`]) so the
-//! fail-fsync path — commit not acknowledged, memory and disk both without
-//! the batch — is testable without a real disk fault.
+//! The [`Wal`] write handle fsyncs every append and supports injected fsync
+//! failures ([`Wal::inject_sync_failures`]), so the fail-fsync path — the
+//! append not acknowledged, the record absent after reopening — is testable
+//! without a real disk fault.
 
 use crate::error::{RelError, RelResult};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// First 8 bytes of every WAL file.
-pub const WAL_MAGIC: [u8; 8] = *b"ALADWAL1";
+const WAL_MAGIC: [u8; 8] = *b"ALADWAL1";
 
 /// Bytes of the per-record header (`len + crc + seq`).
 const FRAME_HEADER_LEN: usize = 16;
@@ -82,7 +82,7 @@ fn record_crc(seq: u64, payload: &[u8]) -> u32 {
 }
 
 /// Encode one record frame (header + payload) for sequence number `seq`.
-pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
+fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&record_crc(seq, payload).to_le_bytes());
@@ -96,9 +96,7 @@ pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
 pub struct WalRecord {
     /// Commit sequence number.
     pub seq: u64,
-    /// Byte offset of this record's frame in the file.
-    pub offset: u64,
-    /// The record payload (an encoded mutation batch).
+    /// The record payload, as passed to [`Wal::append`].
     pub payload: Vec<u8>,
 }
 
@@ -178,7 +176,6 @@ pub fn replay(path: &Path, start_seq: u64) -> RelResult<WalReplay> {
         } else if seq == out.last_seq + 1 {
             out.records.push(WalRecord {
                 seq,
-                offset: pos as u64,
                 payload: payload.to_vec(),
             });
             out.last_seq = seq;
@@ -199,8 +196,8 @@ pub fn replay(path: &Path, start_seq: u64) -> RelResult<WalReplay> {
 
 /// Byte spans `(offset, length)` of the well-formed frames of a WAL file, in
 /// file order and ignoring sequence semantics — the handle fault injectors
-/// use to cut, flip, duplicate and reorder records ([`crate::persist`]'s
-/// test harness and `aladin-datagen`'s disk-fault injectors).
+/// use to cut, flip, duplicate and reorder records (the recovery tests and
+/// `aladin-datagen`'s disk-fault injectors).
 pub fn frame_spans(path: &Path) -> RelResult<Vec<(u64, u64)>> {
     let bytes = std::fs::read(path).map_err(|e| io_err("reading WAL", e))?;
     let mut spans = Vec::new();
@@ -223,15 +220,12 @@ pub fn frame_spans(path: &Path) -> RelResult<Vec<(u64, u64)>> {
     Ok(spans)
 }
 
-/// How a [`Wal`] ended up positioned after [`Wal::recover`]: the replay
-/// outcome plus the open write handle.
+/// The write handle of a WAL file, positioned to append the next record.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     next_seq: u64,
     len: u64,
-    sync_on_commit: bool,
     fail_syncs: u32,
 }
 
@@ -245,10 +239,8 @@ impl Wal {
         file.sync_data().map_err(|e| io_err("syncing WAL", e))?;
         Ok(Wal {
             file,
-            path: path.to_path_buf(),
             next_seq: start_seq + 1,
             len: WAL_MAGIC.len() as u64,
-            sync_on_commit: true,
             fail_syncs: 0,
         })
     }
@@ -277,10 +269,8 @@ impl Wal {
         }
         let mut wal = Wal {
             file,
-            path: path.to_path_buf(),
             next_seq: replay.last_seq + 1,
             len: replay.valid_len,
-            sync_on_commit: true,
             fail_syncs: 0,
         };
         wal.file
@@ -289,10 +279,10 @@ impl Wal {
         Ok((replay, wal))
     }
 
-    /// Append one committed batch payload, fsync it (unless disabled), and
-    /// return its sequence number. On any failure — including an injected
-    /// fsync failure — the partial write is rolled back best-effort and the
-    /// commit is NOT acknowledged: after reopening, the batch is absent.
+    /// Append one record payload, fsync it, and return its sequence number.
+    /// On any failure — including an injected fsync failure — the partial
+    /// write is rolled back best-effort and the record is NOT acknowledged:
+    /// after reopening, it is absent.
     pub fn append(&mut self, payload: &[u8]) -> RelResult<u64> {
         let seq = self.next_seq;
         let frame = encode_frame(seq, payload);
@@ -315,53 +305,21 @@ impl Wal {
                 "injected fsync failure: commit not acknowledged".to_string(),
             ));
         }
-        if self.sync_on_commit {
-            if let Err(e) = self.file.sync_data() {
-                rollback(&mut self.file, self.len);
-                return Err(io_err("fsyncing WAL record", e));
-            }
+        if let Err(e) = self.file.sync_data() {
+            rollback(&mut self.file, self.len);
+            return Err(io_err("fsyncing WAL record", e));
         }
         self.len += frame.len() as u64;
         self.next_seq += 1;
         Ok(seq)
     }
 
-    /// Rewind the log to `offset` bytes / `last_seq`: used when a replayed
-    /// record decodes or applies inconsistently and the tail after it must be
-    /// dropped.
-    pub fn rewind(&mut self, offset: u64, last_seq: u64) -> RelResult<()> {
-        self.file
-            .set_len(offset)
-            .and_then(|_| self.file.seek(SeekFrom::Start(offset)))
-            .and_then(|_| self.file.sync_data())
-            .map_err(|e| io_err("rewinding WAL", e))?;
-        self.len = offset;
-        self.next_seq = last_seq + 1;
-        Ok(())
-    }
-
-    /// Sequence number of the last acknowledged commit.
+    /// Sequence number of the last acknowledged record.
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
 
-    /// Current byte length of the log (header included).
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
-
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Enable/disable fsync-on-commit. Disabling trades crash durability for
-    /// throughput; benchmarks use it to isolate the fsync cost.
-    pub fn set_sync(&mut self, sync_on_commit: bool) {
-        self.sync_on_commit = sync_on_commit;
-    }
-
-    /// Make the next `n` appends fail at the fsync step (the commit is rolled
+    /// Make the next `n` appends fail at the fsync step (the record is rolled
     /// back and not acknowledged) — the fail-fsync disk-fault injector.
     pub fn inject_sync_failures(&mut self, n: u32) {
         self.fail_syncs = n;
@@ -371,6 +329,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_wal(tag: &str) -> PathBuf {
@@ -409,7 +368,7 @@ mod tests {
         let path = temp_wal("torn");
         let mut wal = Wal::create(&path, 0).unwrap();
         wal.append(b"kept").unwrap();
-        let keep = wal.len_bytes();
+        let keep = std::fs::metadata(&path).unwrap().len();
         wal.append(b"torn-away").unwrap();
         drop(wal);
         // Cut the last record mid-payload.
@@ -419,7 +378,7 @@ mod tests {
         let (replayed, wal) = Wal::recover(&path, 0).unwrap();
         assert_eq!(replayed.records.len(), 1);
         assert!(replayed.truncated.is_some());
-        assert_eq!(wal.len_bytes(), keep);
+        assert_eq!(replayed.valid_len, keep);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), keep);
         assert_eq!(wal.last_seq(), 1);
         std::fs::remove_file(&path).ok();

@@ -1,11 +1,12 @@
-//! Crash-recovery equivalence and fault-injection suite for the durable
-//! store: `Database::open` after snapshot + WAL replay must be row-for-row
-//! identical to the in-memory database for arbitrary mutation sequences,
-//! and injected disk damage (torn tails, bit flips, failed fsyncs) must
-//! lose at most the uncommitted tail — never panic, never refuse to start.
+//! Crash-recovery suite for what the integration pipeline commits through:
+//! the write-ahead log of `wal` and the checksummed snapshots of `persist`.
+//! Injected log damage (torn tails, bit flips, failed fsyncs) must lose at
+//! most the unacknowledged tail — never panic, never refuse to start — and
+//! a snapshot must read back row-for-row identical to the database it was
+//! written from, for arbitrary catalog mutation sequences.
 
-use aladin_relstore::persist::{diff_databases, DurableDatabase, Mutation};
-use aladin_relstore::wal;
+use aladin_relstore::persist::{diff_databases, read_snapshot, write_snapshot_at};
+use aladin_relstore::wal::{self, Wal};
 use aladin_relstore::{ColumnDef, Constraint, Database, TableSchema, Value};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -20,110 +21,106 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Copy a durable store's directory (flat: the store keeps no
-/// subdirectories) so destructive fault injection can run on a scratch copy.
-fn copy_store(src: &Path, tag: &str) -> PathBuf {
-    let dst = temp_dir(tag);
-    for entry in std::fs::read_dir(src).unwrap().flatten() {
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+/// A log of `count` acknowledged appends in `dir`, returning its path and
+/// the `(seq, payload)` of every record in commit order.
+fn log_with_records(dir: &Path, count: usize) -> (PathBuf, Vec<(u64, Vec<u8>)>) {
+    let path = dir.join("events.wal");
+    let mut log = Wal::create(&path, 0).unwrap();
+    let mut records = Vec::new();
+    for i in 0..count {
+        let payload = format!("event {i};").repeat(i + 1).into_bytes();
+        let seq = log.append(&payload).unwrap();
+        records.push((seq, payload));
     }
-    dst
+    (path, records)
 }
 
-fn schema() -> TableSchema {
-    TableSchema::of(vec![ColumnDef::int("a"), ColumnDef::text("b")])
+/// The `(seq, payload)` pairs of a replay, for comparison with what was
+/// appended.
+fn records_of(replay: &wal::WalReplay) -> Vec<(u64, Vec<u8>)> {
+    replay
+        .records
+        .iter()
+        .map(|r| (r.seq, r.payload.clone()))
+        .collect()
 }
 
-/// A store with one table and `batches` committed insert batches, returning
-/// the directory plus the expected database after every prefix length
-/// (index `i` = state after `i` insert batches).
-fn store_with_batches(tag: &str, batches: usize) -> (PathBuf, Vec<Database>) {
-    let dir = temp_dir(tag);
-    let mut store = DurableDatabase::open_named(&dir, "crash").unwrap();
-    store
-        .commit(vec![Mutation::CreateTable {
-            name: "t".into(),
-            schema: schema(),
-        }])
-        .unwrap();
-    let mut states = vec![store.db().clone()];
-    for i in 0..batches {
-        store
-            .commit_insert(
-                "t",
-                vec![vec![Value::Int(i as i64), Value::text(format!("row-{i}"))]],
-            )
-            .unwrap();
-        states.push(store.db().clone());
-    }
-    (dir, states)
+/// `(offset, length)` of the log's final frame.
+fn last_frame(path: &Path) -> (u64, u64) {
+    let spans = wal::frame_spans(path).unwrap();
+    *spans.last().unwrap()
 }
 
 #[test]
 fn torn_tail_at_every_byte_offset_loses_only_the_final_batch() {
-    let (dir, states) = store_with_batches("torn", 3);
-    let spans = wal::frame_spans(&dir.join("wal.log")).unwrap();
-    let (last_offset, last_len) = *spans.last().unwrap();
+    let dir = temp_dir("torn");
+    let (log, records) = log_with_records(&dir, 3);
+    let (last_offset, last_len) = last_frame(&log);
     let full = last_offset + last_len;
-    let prefix = &states[states.len() - 2];
-    let complete = &states[states.len() - 1];
+    let prefix = &records[..records.len() - 1];
+    let scratch = dir.join("cut.wal");
     for cut in last_offset..full {
-        let scratch = copy_store(&dir, "torn-cut");
-        let wal_path = scratch.join("wal.log");
+        std::fs::copy(&log, &scratch).unwrap();
         let file = std::fs::OpenOptions::new()
             .write(true)
-            .open(&wal_path)
+            .open(&scratch)
             .unwrap();
         file.set_len(cut).unwrap();
         drop(file);
-        let reopened = Database::open(&scratch)
+        let (replay, mut handle) = Wal::recover(&scratch, 0)
             .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
         assert_eq!(
-            diff_databases(prefix, reopened.db()),
-            None,
-            "cut at byte {cut} lost a committed-before-the-tail batch"
+            records_of(&replay),
+            prefix,
+            "cut at byte {cut} lost an acknowledged-before-the-tail record"
         );
         // A cut exactly at the record boundary leaves a well-formed
         // (shorter) log; any cut inside the record must be reported.
         if cut > last_offset {
             assert!(
-                reopened.recovery().truncated.is_some(),
+                replay.truncated.is_some(),
                 "cut at byte {cut} was not reported as truncation"
             );
         }
-        std::fs::remove_dir_all(&scratch).ok();
+        // The recovered handle continues the log where the prefix ends, and
+        // what it appends replays cleanly after the prefix.
+        let next = prefix.len() as u64 + 1;
+        assert_eq!(handle.append(b"after the cut").unwrap(), next);
+        drop(handle);
+        let replay = wal::replay(&scratch, 0).unwrap();
+        assert!(replay.truncated.is_none(), "cut at byte {cut}");
+        let mut expected = prefix.to_vec();
+        expected.push((next, b"after the cut".to_vec()));
+        assert_eq!(records_of(&replay), expected, "cut at byte {cut}");
     }
     // The untruncated log recovers everything.
-    let reopened = Database::open(&dir).unwrap();
-    assert_eq!(diff_databases(complete, reopened.db()), None);
+    let (replay, _) = Wal::recover(&log, 0).unwrap();
+    assert_eq!(records_of(&replay), records);
+    assert!(replay.truncated.is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bit_flip_in_every_byte_of_the_final_record_never_panics() {
-    let (dir, states) = store_with_batches("flip", 3);
-    let spans = wal::frame_spans(&dir.join("wal.log")).unwrap();
-    let (last_offset, last_len) = *spans.last().unwrap();
-    let prefix = &states[states.len() - 2];
-    let complete = &states[states.len() - 1];
+    let dir = temp_dir("flip");
+    let (log, records) = log_with_records(&dir, 3);
+    let (last_offset, last_len) = last_frame(&log);
+    let prefix = &records[..records.len() - 1];
+    let scratch = dir.join("flipped.wal");
     for at in last_offset..last_offset + last_len {
-        let scratch = copy_store(&dir, "flip-at");
-        let wal_path = scratch.join("wal.log");
-        let mut bytes = std::fs::read(&wal_path).unwrap();
+        let mut bytes = std::fs::read(&log).unwrap();
         bytes[at as usize] ^= 0xFF;
-        std::fs::write(&wal_path, &bytes).unwrap();
-        let reopened = Database::open(&scratch)
+        std::fs::write(&scratch, &bytes).unwrap();
+        let (replay, _) = Wal::recover(&scratch, 0)
             .unwrap_or_else(|e| panic!("recovery failed with flip at {at}: {e}"));
         // The damaged record is dropped (checksum/framing catches the flip)
-        // or — only if the flip somehow still framed and checksummed — the
-        // full state survives. Committed-before-the-tail batches never go.
-        let ok = diff_databases(prefix, reopened.db()).is_none()
-            || diff_databases(complete, reopened.db()).is_none();
+        // or — only if the flip somehow still framed and checksummed — every
+        // record survives. Records acknowledged before the tail never go.
+        let recovered = records_of(&replay);
         assert!(
-            ok,
-            "flip at byte {at} lost a committed-before-the-tail batch"
+            recovered == prefix || recovered == records,
+            "flip at byte {at} lost an acknowledged-before-the-tail record"
         );
-        std::fs::remove_dir_all(&scratch).ok();
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -131,39 +128,36 @@ fn bit_flip_in_every_byte_of_the_final_record_never_panics() {
 #[test]
 fn failed_fsync_is_not_acknowledged_and_not_recovered() {
     let dir = temp_dir("fsync");
-    let mut store = DurableDatabase::open_named(&dir, "crash").unwrap();
-    store
-        .commit(vec![Mutation::CreateTable {
-            name: "t".into(),
-            schema: schema(),
-        }])
-        .unwrap();
-    store
-        .commit_insert("t", vec![vec![Value::Int(1), Value::text("kept")]])
-        .unwrap();
-    let before = store.db().clone();
-
-    store.inject_fsync_failures(1);
-    let err = store.commit_insert("t", vec![vec![Value::Int(2), Value::text("lost")]]);
-    assert!(err.is_err(), "a failed fsync must fail the commit");
-    // Not applied in memory...
-    assert_eq!(diff_databases(&before, store.db()), None);
-    drop(store);
+    let (log, acknowledged) = log_with_records(&dir, 2);
+    let (_, mut handle) = Wal::recover(&log, 0).unwrap();
+    handle.inject_sync_failures(1);
+    assert!(
+        handle.append(b"lost").is_err(),
+        "a failed fsync must fail the append"
+    );
+    // Not acknowledged by the handle...
+    assert_eq!(handle.last_seq(), acknowledged.len() as u64);
+    drop(handle);
     // ...and not on disk either: reopening sees exactly the acknowledged
-    // state.
-    let reopened = Database::open(&dir).unwrap();
-    assert_eq!(diff_databases(&before, reopened.db()), None);
-    assert!(!reopened.recovery().found_damage());
+    // records and reports no damage.
+    let (replay, _) = Wal::recover(&log, 0).unwrap();
+    assert_eq!(records_of(&replay), acknowledged);
+    assert!(replay.truncated.is_none());
+    assert_eq!(replay.duplicates_skipped, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
-// Property: reopen ≡ in-memory for arbitrary mutation sequences
+// Property: a snapshot reads back as the database it was written from
 // ---------------------------------------------------------------------------
+
+fn schema() -> TableSchema {
+    TableSchema::of(vec![ColumnDef::int("a"), ColumnDef::text("b")])
+}
 
 /// One abstract operation of the generated workload; invalid combinations
 /// (inserting into a missing table, re-creating an existing one) are skipped
-/// during interpretation, so every committed batch is valid by construction.
+/// during interpretation, so every mutation applied is valid by construction.
 #[derive(Debug, Clone)]
 enum Op {
     Create(u8),
@@ -183,61 +177,66 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Write `db` as a snapshot stamped `seq` and read it back.
+fn snapshot_round_trip(path: &Path, db: &Database, seq: u64) -> (Database, u64) {
+    write_snapshot_at(path, db, seq).unwrap();
+    read_snapshot(path).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn reopen_is_row_for_row_identical_to_the_in_memory_database(
         ops in prop::collection::vec(op_strategy(), 1..40),
-        checkpoint_every in 0usize..5,
     ) {
         let dir = temp_dir("prop");
-        let mut store = DurableDatabase::open_named(&dir, "prop").unwrap();
-        store.set_checkpoint_every(checkpoint_every);
-        for op in ops {
+        let path = dir.join("prop.snap");
+        let mut db = Database::new("prop");
+        for (seq, op) in ops.into_iter().enumerate() {
+            let seq = seq as u64;
             match op {
                 Op::Create(t) => {
                     let name = format!("t{t}");
-                    if store.db().table(&name).is_err() {
-                        store.commit(vec![Mutation::CreateTable { name, schema: schema() }])
-                            .unwrap();
+                    if db.table(&name).is_err() {
+                        db.create_table(name, schema()).unwrap();
                     }
                 }
                 Op::Drop(t) => {
                     let name = format!("t{t}");
-                    if store.db().table(&name).is_ok() {
-                        store.commit(vec![Mutation::DropTable { name }]).unwrap();
+                    if db.table(&name).is_ok() {
+                        db.drop_table(&name).unwrap();
                     }
                 }
                 Op::Insert(t, values) => {
                     let name = format!("t{t}");
-                    if store.db().table(&name).is_ok() {
+                    if db.table(&name).is_ok() {
                         let rows = values
                             .into_iter()
-                            .map(|v| vec![Value::Int(v), Value::text(format!("v{v}"))])
-                            .collect();
-                        store.commit_insert(&name, rows).unwrap();
+                            .map(|v| vec![Value::Int(v), Value::text(format!("v{v}"))]);
+                        db.insert_all(&name, rows).unwrap();
                     }
                 }
                 Op::Constrain(t) => {
                     let name = format!("t{t}");
-                    if store.db().table(&name).is_ok() {
-                        store.commit(vec![Mutation::AddConstraint(Constraint::NotNull {
+                    if db.table(&name).is_ok() {
+                        db.add_constraint(Constraint::NotNull {
                             table: name,
                             column: "a".into(),
-                        })]).unwrap();
+                        })
+                        .unwrap();
                     }
                 }
                 Op::Checkpoint => {
-                    store.checkpoint().unwrap();
+                    let (reopened, stamp) = snapshot_round_trip(&path, &db, seq);
+                    prop_assert_eq!(stamp, seq);
+                    prop_assert_eq!(diff_databases(&db, &reopened), None);
                 }
             }
         }
-        let expected = store.db().clone();
-        drop(store);
-        let reopened = Database::open(&dir).unwrap();
-        prop_assert_eq!(diff_databases(&expected, reopened.db()), None);
-        prop_assert!(!reopened.recovery().found_damage());
+        let (reopened, stamp) = snapshot_round_trip(&path, &db, u64::MAX);
+        prop_assert_eq!(stamp, u64::MAX);
+        prop_assert_eq!(diff_databases(&db, &reopened), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

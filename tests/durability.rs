@@ -2,15 +2,17 @@
 //! pipeline and serving layer. A durable `Aladin` (configured with a data
 //! directory) persists every committed source; `Aladin::open` must rebuild
 //! an equivalent warehouse from disk, `Server::resume` must pick up the last
-//! published generation, and injected damage to the pipeline event log must
-//! cost at most the tail — never a panic, never a refusal to start.
+//! published generation, and injected damage must cost at most the tail of
+//! the pipeline event log, or the damaged source's snapshot — never a
+//! panic, never a refusal to start.
 
-use aladin::core::{Aladin, AladinConfig, Link, ServeConfig, Server, SourceStructure};
+use aladin::core::{Aladin, AladinConfig, Link, ServeConfig, Server, SourceStructure, Warehouse};
 use aladin::datagen::{
     duplicate_last_wal_record, swap_last_two_wal_records, truncate_wal_mid_record, Corpus,
     CorpusConfig,
 };
 use aladin::relstore::{persist, Database};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,17 +93,32 @@ fn resumed_server_continues_at_the_published_generation() {
     let generation = server.snapshot().generation();
     drop(server);
 
-    let (resumed, recovery) = Server::resume(
-        AladinConfig::default().with_data_dir(&dir),
-        ServeConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(recovery.lost, Vec::<String>::new());
-    assert_eq!(resumed.resumed_generation(), Some(generation));
-    assert!(
-        resumed.snapshot().generation() >= generation,
-        "a resumed server must never publish a generation below the marker"
-    );
+    // Markers of older versions list the published sources after the
+    // generation; the reader stops after the generation, so they still
+    // resume at it.
+    let legacy_generation = generation + 100;
+    let mut legacy = Vec::new();
+    persist::put_u64(&mut legacy, legacy_generation);
+    persist::put_u32(&mut legacy, corpus.sources.len() as u32);
+    for dump in &corpus.sources {
+        persist::put_str(&mut legacy, &dump.name);
+    }
+    for (marker, expected) in [(None, generation), (Some(legacy), legacy_generation)] {
+        if let Some(blob) = marker {
+            persist::write_blob(&dir.join("GENERATION"), &blob).unwrap();
+        }
+        let (resumed, recovery) = Server::resume(
+            AladinConfig::default().with_data_dir(&dir),
+            ServeConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(recovery.lost, Vec::<String>::new());
+        assert_eq!(resumed.resumed_generation(), Some(expected));
+        assert!(
+            resumed.snapshot().generation() >= expected,
+            "a resumed server must never publish a generation below the marker"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -268,6 +285,11 @@ fn a_durable_commit_event_rolls_its_snapshot_forward() {
     let stale = snapshot_of(&dir, second).with_extension("snap.next");
     let release = release_with_an_emptied_table(&corpus, 1);
     persist::write_snapshot_at(&stale, &release, u64::MAX).unwrap();
+    // A kill inside the atomic write of a third source's `.next` leaves its
+    // half-written temp file behind.
+    let third = &corpus.sources[2].name;
+    let interrupted = dir.join("sources").join(format!(".tmp-{third}.snap.next"));
+    std::fs::write(&interrupted, &published[..published.len() / 2]).unwrap();
 
     let (reopened, recovery) = Aladin::open(AladinConfig::default().with_data_dir(&dir)).unwrap();
     assert_eq!(recovery.lost, Vec::<String>::new());
@@ -276,7 +298,69 @@ fn a_durable_commit_event_rolls_its_snapshot_forward() {
         "recovery must serve the committed refresh"
     );
     assert_eq!(pending_snapshots(&dir), Vec::<PathBuf>::new());
+    assert!(
+        !interrupted.exists(),
+        "an interrupted write's temp file survived"
+    );
     let (at_rest, _) = persist::read_snapshot(&snap).unwrap();
     assert_eq!(at_rest.total_rows(), refreshed_rows);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_corrupt_source_snapshot_loses_only_that_source() {
+    let corpus = corpus();
+    let dir = temp_dir("corrupt-snapshot");
+    drop(integrate_durable(&corpus, &dir));
+
+    // Media rot in the middle of one source's snapshot, a torn write of
+    // another's.
+    let flipped = corpus.sources[0].name.clone();
+    let torn = corpus.sources[1].name.clone();
+    let path = snapshot_of(&dir, &flipped);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+    let path = snapshot_of(&dir, &torn);
+    let len = std::fs::metadata(&path).unwrap().len();
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(len / 2).unwrap();
+    drop(file);
+
+    let (reopened, recovery) = Aladin::open(AladinConfig::default().with_data_dir(&dir)).unwrap();
+    let damaged: BTreeSet<String> = [flipped, torn].into_iter().collect();
+    let lost: BTreeSet<String> = recovery.lost.iter().cloned().collect();
+    assert_eq!(lost, damaged);
+    assert_eq!(recovery.lost.len(), damaged.len());
+    let intact: BTreeSet<String> = corpus
+        .sources
+        .iter()
+        .map(|dump| dump.name.clone())
+        .filter(|name| !damaged.contains(name))
+        .collect();
+    let recovered: BTreeSet<String> = recovery.recovered.iter().cloned().collect();
+    assert_eq!(recovered, intact);
+    let served: BTreeSet<String> = reopened
+        .source_names()
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
+    assert_eq!(served, intact);
+
+    // No row of a damaged source is served, as an object or a link endpoint.
+    for name in &damaged {
+        assert!(reopened.database(name).is_err(), "{name} is still served");
+    }
+    let warehouse = Warehouse::from_aladin(reopened);
+    let objects = warehouse.scan().fetch().unwrap();
+    assert!(!objects.is_empty());
+    for record in &objects {
+        assert!(!damaged.contains(&record.object.source));
+    }
+    let metadata = warehouse.metadata();
+    for link in metadata.links().iter().chain(metadata.duplicates()) {
+        assert!(!damaged.contains(&link.from.source) && !damaged.contains(&link.to.source));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
