@@ -1,29 +1,46 @@
 //! Recovery experiment and crash harness for the durable warehouse.
 //!
-//! A durable warehouse (`AladinConfig::with_data_dir`) restarts through two
-//! disk reads before it re-integrates: it replays its event log
-//! (`relstore::wal`) and loads one checksummed snapshot per source
-//! (`relstore::persist`). Three modes:
+//! A durable warehouse (`AladinConfig::with_data_dir`) keeps one
+//! checksummed snapshot (`relstore::persist`) and one stored outcome (its
+//! links, duplicates and pair failures) per committed source, beside an
+//! event log of commits (`relstore::wal`). `Aladin::open` replays the log,
+//! loads both files of every source, re-runs the source-local structure
+//! discovery, and rediscovers links only for a source whose stored outcome
+//! it cannot trust. Three modes:
 //!
-//! * **default / `--smoke`** — time both reads: `wal::replay` of logs of N
-//!   appended records, `rows_per_batch` rows each (`wal_replay`), and
-//!   `persist::read_snapshot` of one source snapshot holding the rows of
-//!   the longest log (`snapshot`). `crossover_records` is the log length
-//!   whose replay costs one snapshot load. Results go to
+//! * **default / `--smoke`** — time a restart layer by layer:
+//!   `wal::replay` of logs of N appended records, `rows_per_batch` rows each
+//!   (`wal_replay`); `persist::read_snapshot` of one source snapshot holding
+//!   the rows of the longest log (`snapshot`), with `crossover_records`, the
+//!   log length whose replay costs one snapshot load; and `Aladin::open` of
+//!   a store holding an integrated corpus, in CPU and wall milliseconds,
+//!   once loading the stored outcomes and once with the `.links` files
+//!   deleted, which rediscovers every source (`pipeline_restart`: the small
+//!   corpus under `--smoke`, the medium one otherwise). Results go to
 //!   `BENCH_recovery.json`; `--smoke` shrinks the sizes for CI.
 //! * **`--writer <dir>`** — run a durable server that integrates and then
 //!   endlessly refreshes a synthetic corpus rooted at `<dir>`, printing a
 //!   line per committed generation. This is the kill -9 target of the CI
 //!   crash drill: it is meant to die mid-commit.
 //! * **`--check <dir>`** — reopen the store at `<dir>` after a crash and
-//!   verify integrity: no committed source is lost, no staged snapshot or
-//!   its temp file (`sources/*.next`) outlives the reopen, every recovered
-//!   source passes its constraint check, and a resumed server continues at
-//!   (or after) the last published generation. Exits non-zero on any
-//!   violation.
+//!   verify integrity, exiting non-zero on any violation:
+//!   - no committed source is lost;
+//!   - every source's outcome is loaded, none rediscovered: each `.links`
+//!     file is fsync'd before its commit event, so a kill can never force
+//!     a rediscovery;
+//!   - no staged file or its temp file (`sources/*.next`) outlives the
+//!     reopen;
+//!   - the loaded links and duplicates equal those of an in-memory
+//!     re-integration of the recovered snapshots in recovery order:
+//!     endpoints, kind, score bits and evidence, in order;
+//!   - every recovered source passes its constraint check;
+//!   - a resumed server continues at (or after) the last published
+//!     generation.
 
 use aladin_bench::print_table;
-use aladin_core::{AladinConfig, ServeConfig, Server};
+use aladin_core::{
+    Aladin, AladinConfig, Link, LinkKind, ObjectRef, PipelineRecovery, ServeConfig, Server,
+};
 use aladin_datagen::{Corpus, CorpusConfig};
 use aladin_relstore::persist;
 use aladin_relstore::wal::{self, Wal};
@@ -43,15 +60,74 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Median wall time of `f` in microseconds over `iters` runs.
 fn median_us<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..iters.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+    median(
+        (0..iters.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect(),
+    )
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+/// Linux's clock id for the CPU time of the calling process, every thread
+/// (finished ones included) together.
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
+/// CPU milliseconds this process has run, every thread together.
+fn process_cpu_ms() -> f64 {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable `struct timespec` of 64-bit Linux,
+    // and the clock id exists on every Linux kernel.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime failed");
+    ts.tv_sec as f64 * 1e3 + ts.tv_nsec as f64 / 1e6
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
     samples[samples.len() / 2]
+}
+
+/// One way of reopening a store, timed: median CPU and wall milliseconds
+/// of `Aladin::open` over several runs, and what the last run recovered.
+struct TimedOpen {
+    cpu_ms: f64,
+    wall_ms: f64,
+    aladin: Aladin,
+    recovery: PipelineRecovery,
+}
+
+fn time_open(config: &AladinConfig, iters: usize) -> TimedOpen {
+    let (mut cpu, mut wall, mut last) = (Vec::new(), Vec::new(), None);
+    for _ in 0..iters.max(1) {
+        let (cpu_before, start) = (process_cpu_ms(), Instant::now());
+        let opened = Aladin::open(config.clone()).expect("reopen store");
+        wall.push(start.elapsed().as_secs_f64() * 1e3);
+        cpu.push(process_cpu_ms() - cpu_before);
+        last = Some(opened);
+    }
+    let (aladin, recovery) = last.expect("at least one run");
+    TimedOpen {
+        cpu_ms: median(cpu),
+        wall_ms: median(wall),
+        aladin,
+        recovery,
+    }
 }
 
 /// The accession and description of fixture row `id`.
@@ -106,6 +182,65 @@ fn source_with_rows(rows: usize) -> Database {
     db
 }
 
+/// Time `Aladin::open` of a store holding an integrated corpus, loading the
+/// stored outcomes and then rediscovering every source (the store with its
+/// `.links` files deleted, as a store written before outcomes were
+/// stored). Returns the `pipeline_restart` JSON entry and its table row.
+fn pipeline_restart(smoke: bool, iters: usize) -> (String, Vec<String>) {
+    let (world, corpus) = if smoke {
+        ("small", corpus())
+    } else {
+        ("medium", Corpus::generate(&CorpusConfig::medium(42)))
+    };
+    let dir = temp_dir("restart");
+    let config = AladinConfig::default().with_data_dir(&dir);
+    let mut aladin = Aladin::new(config.clone());
+    for dump in &corpus.sources {
+        aladin
+            .add_source_files(&dump.name, dump.format, &dump.files)
+            .expect("integrate source");
+    }
+    drop(aladin);
+
+    let loaded = time_open(&config, iters);
+    assert_eq!(loaded.recovery.lost, Vec::<String>::new());
+    assert_eq!(loaded.recovery.rediscovered, Vec::<String>::new());
+    let sources = loaded.recovery.recovered.len();
+    assert_eq!(sources, corpus.sources.len());
+    for entry in std::fs::read_dir(dir.join("sources")).expect("list store") {
+        let path = entry.expect("store entry").path();
+        if path.extension().is_some_and(|ext| ext == "links") {
+            std::fs::remove_file(path).expect("delete outcome");
+        }
+    }
+    let rediscovered = time_open(&config, iters);
+    assert_eq!(rediscovered.recovery.rediscovered.len(), sources);
+    let (meta, again) = (loaded.aladin.metadata(), rediscovered.aladin.metadata());
+    assert_eq!(meta.links(), again.links());
+    assert_eq!(meta.duplicates(), again.duplicates());
+    let (links, duplicates) = (meta.links().len(), meta.duplicates().len());
+    let _ = std::fs::remove_dir_all(dir);
+
+    let json = format!(
+        "  \"pipeline_restart\": {{\"world\": \"{world}\", \"sources\": {sources}, \
+         \"links\": {links}, \"duplicates\": {duplicates},\n    \
+         \"loaded\": {{\"cpu_ms\": {:.1}, \"wall_ms\": {:.1}}},\n    \
+         \"rediscovered\": {{\"cpu_ms\": {:.1}, \"wall_ms\": {:.1}}}}},\n",
+        loaded.cpu_ms, loaded.wall_ms, rediscovered.cpu_ms, rediscovered.wall_ms
+    );
+    let row = vec![
+        world.to_string(),
+        sources.to_string(),
+        links.to_string(),
+        duplicates.to_string(),
+        format!("{:.1}", loaded.cpu_ms),
+        format!("{:.1}", loaded.wall_ms),
+        format!("{:.1}", rediscovered.cpu_ms),
+        format!("{:.1}", rediscovered.wall_ms),
+    ];
+    (json, row)
+}
+
 fn bench(smoke: bool) {
     let sizes: &[usize] = if smoke {
         &[20, 80, 200]
@@ -117,9 +252,10 @@ fn bench(smoke: bool) {
     let dir = temp_dir("bench");
 
     let mut json = String::from("{\n");
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(
         json,
-        "  \"config\": {{\"smoke\": {smoke}, \"rows_per_batch\": {rows_each}}},"
+        "  \"config\": {{\"smoke\": {smoke}, \"cpus\": {cpus}, \"rows_per_batch\": {rows_each}}},"
     );
     json.push_str("  \"wal_replay\": [\n");
 
@@ -171,6 +307,8 @@ fn bench(smoke: bool) {
     let per_record = ((t1 - t0) / (n1 - n0) as f64).max(1e-3);
     let base = (t0 - n0 as f64 * per_record).max(0.0);
     let crossover = ((snap_us - base) / per_record).max(0.0);
+    let (restart_json, restart_row) = pipeline_restart(smoke, if smoke { 3 } else { 5 });
+    json.push_str(&restart_json);
     let _ = writeln!(json, "  \"replay_per_record_us\": {per_record:.2},");
     let _ = writeln!(json, "  \"crossover_records\": {crossover:.0}");
     json.push_str("}\n");
@@ -192,6 +330,21 @@ fn bench(smoke: bool) {
             format!("{per_record:.2}"),
             format!("{crossover:.0}"),
         ]],
+    );
+
+    print_table(
+        "Restart end to end: Aladin::open (median ms)",
+        &[
+            "world",
+            "sources",
+            "links",
+            "duplicates",
+            "loaded_cpu_ms",
+            "loaded_wall_ms",
+            "rediscovered_cpu_ms",
+            "rediscovered_wall_ms",
+        ],
+        &[restart_row],
     );
 
     let _ = std::fs::remove_dir_all(dir);
@@ -244,10 +397,62 @@ fn writer(dir: &Path) -> ! {
     }
 }
 
+/// A link as the check compares it: endpoints, kind, score bits, evidence.
+fn link_key(link: &Link) -> (&ObjectRef, &ObjectRef, LinkKind, u64, &str) {
+    (
+        &link.from,
+        &link.to,
+        link.kind,
+        link.score.to_bits(),
+        &link.evidence,
+    )
+}
+
+/// The oracle of the check: re-integrate the recovered snapshots in memory,
+/// in recovery order, and compare its links and duplicates with the ones
+/// `Aladin::open` loaded, in order. The writer's source names need no
+/// escaping, so each snapshot is `sources/<name>.snap`.
+fn matches_reintegration(
+    dir: &Path,
+    opened: &Aladin,
+    recovery: &PipelineRecovery,
+) -> Result<(), String> {
+    let mut dbs = Vec::new();
+    for name in &recovery.recovered {
+        let path = dir.join("sources").join(format!("{name}.snap"));
+        let (db, _) = persist::read_snapshot(&path).map_err(|e| format!("{name}: {e}"))?;
+        dbs.push(db);
+    }
+    let mut oracle = Aladin::new(AladinConfig::default());
+    oracle
+        .add_databases(dbs)
+        .map_err(|e| format!("re-integration failed: {e}"))?;
+    let (loaded, expected) = (opened.metadata(), oracle.metadata());
+    for (what, got, want) in [
+        ("links", loaded.links(), expected.links()),
+        ("duplicates", loaded.duplicates(), expected.duplicates()),
+    ] {
+        if got.len() != want.len() {
+            return Err(format!(
+                "{} {what} loaded, {} expected",
+                got.len(),
+                want.len()
+            ));
+        }
+        if let Some(i) = (0..got.len()).find(|&i| link_key(&got[i]) != link_key(&want[i])) {
+            return Err(format!(
+                "{what}[{i}]: loaded {:?}, expected {:?}",
+                got[i], want[i]
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Post-crash integrity check; exits non-zero on the first violation.
 fn check(dir: &Path) {
     let config = AladinConfig::default().with_data_dir(dir);
-    let (aladin, recovery) = match aladin_core::Aladin::open(config.clone()) {
+    let (aladin, recovery) = match Aladin::open(config.clone()) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("check: recovery failed: {e}");
@@ -255,14 +460,22 @@ fn check(dir: &Path) {
         }
     };
     println!(
-        "check: recovered={} lost={} truncated={:?} in {:.1}ms",
+        "check: recovered={} rediscovered={} lost={} truncated={:?} in {:.1}ms",
         recovery.recovered.len(),
+        recovery.rediscovered.len(),
         recovery.lost.len(),
         recovery.truncated_events,
         recovery.elapsed.as_secs_f64() * 1e3
     );
     if !recovery.lost.is_empty() {
         eprintln!("check: lost committed sources: {:?}", recovery.lost);
+        std::process::exit(1);
+    }
+    if !recovery.rediscovered.is_empty() {
+        eprintln!(
+            "check: rediscovered instead of loaded: {:?}",
+            recovery.rediscovered
+        );
         std::process::exit(1);
     }
     // `open` renames every committed `.next` onto its snapshot and deletes
@@ -275,6 +488,10 @@ fn check(dir: &Path) {
         .collect();
     if !staged.is_empty() {
         eprintln!("check: staged files left after recovery: {staged:?}");
+        std::process::exit(1);
+    }
+    if let Err(difference) = matches_reintegration(dir, &aladin, &recovery) {
+        eprintln!("check: loaded state differs from re-integration: {difference}");
         std::process::exit(1);
     }
     for source in aladin.source_names() {

@@ -227,7 +227,8 @@ pub struct AladinConfig {
 
     // -- durability --
     /// Data directory for the durable warehouse. When set, the pipeline
-    /// persists per-source snapshots and a pipeline event log there
+    /// persists per-source snapshots, each source's discovered links and
+    /// duplicates, and a pipeline event log there
     /// ([`crate::pipeline::Aladin::open`] recovers from it), and the serving
     /// layer publishes its generation marker there
     /// ([`crate::serve::Server::resume`]). `None` (the default) keeps the

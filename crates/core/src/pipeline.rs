@@ -39,6 +39,16 @@
 //! [`PairFailure`] instead of taking the run down; a whole-source failure
 //! under [`BatchErrorPolicy::ContinueOnError`] quarantines just that source
 //! ([`SourceOutcome::Quarantined`]) while the rest of the batch integrates.
+//!
+//! # Durability
+//!
+//! With [`AladinConfig::data_dir`] set, a committed source is two files
+//! under `sources/`: a snapshot of its imported `Database` (`.snap`) and
+//! the outcome of its steps 4–5 (`.links`: its links, duplicates and pair
+//! failures), both stamped with the sequence number of the commit event in
+//! `pipeline.wal` that committed them. [`Aladin::open`] re-runs only the
+//! source-local steps 2–3 and loads the stored outcome; it rediscovers a
+//! source only when that outcome cannot be trusted.
 
 use crate::accession::detect_accession_candidates;
 use crate::config::{AladinConfig, BatchErrorPolicy, FaultInjection};
@@ -49,7 +59,8 @@ use crate::links::implicit::{
     discover_sequence_links, discover_shared_term_links, discover_text_links,
 };
 use crate::metadata::{
-    Link, MetadataRepository, ObjectRef, PairFailure, PipelineMetrics, SourceStructure, StepTiming,
+    Link, LinkKind, MetadataRepository, ObjectRef, PairFailure, PipelineMetrics, SourceStructure,
+    StepTiming,
 };
 use crate::parallel::run_jobs;
 use crate::primary::select_primary_relations;
@@ -57,6 +68,7 @@ use crate::relationships::discover_relationships;
 use crate::secondary::discover_secondary_relations;
 use crate::unique::detect_unique_columns;
 use aladin_import::{import_files_with, QuarantinedRecord, SourceFormat};
+use aladin_relstore::plan::fingerprint_bytes;
 use aladin_relstore::stats::profile_table;
 use aladin_relstore::wal::{self, Wal};
 use aladin_relstore::{persist, Database, RelError};
@@ -341,26 +353,106 @@ struct StagedSource {
     db: Database,
     structure: SourceStructure,
     structure_timing: StepTiming,
-    pair_timings: Vec<StepTiming>,
+    discovered: Discovered,
+    report: IntegrationReport,
+}
+
+impl StagedSource {
+    /// Stage an analysed source with what steps 4–5 produced for it.
+    fn assemble(
+        db: Database,
+        structure: SourceStructure,
+        structure_elapsed: Duration,
+        discovered: Discovered,
+    ) -> StagedSource {
+        let name = db.name().to_string();
+        let structure_timing = StepTiming {
+            output_count: structure.relationships.len(),
+            ..StepTiming::local(name.clone(), "structure discovery", structure_elapsed)
+        };
+        let links = discovered.explicit_links.len() + discovered.implicit_links.len();
+        let report = IntegrationReport {
+            source: name.clone(),
+            tables: db.table_count(),
+            rows: db.total_rows(),
+            primary_relations: structure
+                .primary_relations
+                .iter()
+                .map(|p| (p.table.clone(), p.accession_column.clone()))
+                .collect(),
+            secondary_relations: structure.secondary_relations.len(),
+            relationships: structure.relationships.len(),
+            explicit_links: discovered.explicit_links.len(),
+            implicit_links: discovered.implicit_links.len(),
+            duplicates: discovered.duplicate_links.len(),
+            pairs_compared: discovered.pairs_compared,
+            step_timings: vec![
+                structure_timing.clone(),
+                StepTiming {
+                    output_count: links,
+                    pairs_compared: discovered.pairs_compared,
+                    ..StepTiming::local(name.clone(), "link discovery", discovered.link_elapsed)
+                },
+                StepTiming {
+                    output_count: discovered.duplicate_links.len(),
+                    pairs_compared: discovered.candidates_scored,
+                    ..StepTiming::local(name, "duplicate detection", discovered.duplicate_elapsed)
+                },
+            ],
+            quarantined: Vec::new(),
+            pair_failures: discovered.failures.clone(),
+        };
+        StagedSource {
+            db,
+            structure,
+            structure_timing,
+            discovered,
+            report,
+        }
+    }
+}
+
+/// What steps 4–5 produced for one source, merged over its pairs in
+/// source-name order, and what producing it cost. Its links, duplicates
+/// and pair failures are what `sources/<escaped>.links` stores; a source
+/// loaded from there carries no costs.
+#[derive(Debug, Default)]
+struct Discovered {
     explicit_links: Vec<Link>,
     implicit_links: Vec<Link>,
     duplicate_links: Vec<Link>,
     failures: Vec<PairFailure>,
-    report: IntegrationReport,
+    /// Per-pair link and duplicate timings.
+    pair_timings: Vec<StepTiming>,
+    pairs_compared: usize,
+    candidates_scored: usize,
+    link_elapsed: Duration,
+    duplicate_elapsed: Duration,
 }
 
 /// What [`Aladin::open`] recovered from the data directory.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineRecovery {
-    /// Sources recovered and re-integrated, in last-commit order.
+    /// Sources recovered, in last-commit order.
     pub recovered: Vec<String>,
-    /// Sources named by the event log whose snapshots were missing, corrupt,
-    /// or failed re-integration; recovery proceeds without them.
+    /// The sources of `recovered` whose links and duplicates were
+    /// rediscovered rather than loaded, in last-commit order: their stored
+    /// outcome was missing or damaged, stamped with another commit than
+    /// their last one or their loaded snapshot's, written under another
+    /// discovery configuration, or computed against a version of an
+    /// earlier source other than the one loaded. A loaded source records no
+    /// per-pair [`StepTiming`]s; a rediscovered one records them as any
+    /// integration does.
+    pub rediscovered: Vec<String>,
+    /// Sources named by the event log whose snapshots were missing or
+    /// corrupt, or whose structure discovery or rediscovery failed;
+    /// recovery proceeds without them.
     pub lost: Vec<String>,
     /// Why (and that) the pipeline event log's tail was truncated, if it was.
     pub truncated_events: Option<String>,
-    /// Wall-clock time of the whole recovery (snapshot loads +
-    /// re-integration).
+    /// Wall-clock time of the whole recovery (file loads, steps 2–3, and
+    /// rediscovery where needed), also recorded as the warehouse's
+    /// "cold-start recovery" [`StepTiming`].
     pub elapsed: Duration,
 }
 
@@ -372,27 +464,185 @@ fn durability(context: impl Into<String>, cause: RelError) -> AladinError {
     }
 }
 
-/// File-system-safe snapshot file name for a source: alphanumerics, `.`,
-/// `_` and `-` pass through, every other byte is `%XX`-escaped (injective,
-/// so distinct source names never collide on disk).
-fn source_snapshot_file(source: &str) -> String {
-    let mut out = String::with_capacity(source.len() + 5);
+/// File-system-safe name of one of a source's files: alphanumerics, `.`,
+/// `_` and `-` of the source name pass through, every other byte is
+/// `%XX`-escaped (injective, so distinct source names never collide on
+/// disk), then `.` and the extension (`snap` or `links`).
+fn source_file(source: &str, extension: &str) -> String {
+    let mut out = String::with_capacity(source.len() + extension.len() + 1);
     for b in source.bytes() {
         match b {
             b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'.' | b'_' | b'-' => out.push(b as char),
             other => out.push_str(&format!("%{other:02X}")),
         }
     }
-    out.push_str(".snap");
+    out.push('.');
+    out.push_str(extension);
     out
 }
 
-/// Where a source's staged snapshot waits for its commit event: the
-/// snapshot path plus `.next`.
-fn pending_snapshot_path(snapshot: &Path) -> PathBuf {
-    let mut path = snapshot.as_os_str().to_owned();
+/// Where a source's staged file waits for its commit event: the committed
+/// path plus `.next`.
+fn pending_path(committed: &Path) -> PathBuf {
+    let mut path = committed.as_os_str().to_owned();
     path.push(".next");
     PathBuf::from(path)
+}
+
+/// Read one committed file of a source whose last commit event has
+/// sequence number `seq`, as `(value, stamp)`. Roll-forward rule: a `.next`
+/// stamped `seq` was committed before a crash cut its rename short, so it
+/// is renamed onto the committed path, recorded in `adopted`, and read;
+/// otherwise the committed path is read. `None` when neither reads.
+fn read_committed<T>(
+    path: &Path,
+    seq: u64,
+    adopted: &mut BTreeSet<PathBuf>,
+    read: impl Fn(&Path) -> Result<(T, u64), RelError>,
+) -> Option<(T, u64)> {
+    let next = pending_path(path);
+    match read(&next) {
+        Ok((value, stamp)) if stamp == seq => {
+            let _ = std::fs::rename(&next, path);
+            adopted.insert(next);
+            Some((value, stamp))
+        }
+        _ => read(path).ok(),
+    }
+}
+
+/// Fingerprint of the configuration discovery runs under: FNV-1a of its
+/// `Debug` rendering with `data_dir`, `workers` and `faults` reset to their
+/// defaults. Those three never change what a healthy run discovers (the
+/// worker count only changes which thread runs a pair), so a store opened
+/// from another directory, with another worker count or with faults armed
+/// still loads its outcomes. Any other changed field rediscovers.
+fn discovery_fingerprint(config: &AladinConfig) -> u64 {
+    let defaults = AladinConfig::default();
+    let canonical = AladinConfig {
+        data_dir: defaults.data_dir,
+        workers: defaults.workers,
+        faults: defaults.faults,
+        ..config.clone()
+    };
+    fingerprint_bytes(format!("{canonical:?}").as_bytes())
+}
+
+/// Format tag of a stored outcome's payload.
+const OUTCOME_TAG: u8 = 1;
+
+fn put_object(buf: &mut Vec<u8>, object: &ObjectRef) {
+    persist::put_str(buf, &object.source);
+    persist::put_str(buf, &object.table);
+    persist::put_str(buf, &object.accession);
+}
+
+fn object(cur: &mut persist::Cursor<'_>) -> Result<ObjectRef, RelError> {
+    Ok(ObjectRef::new(cur.str()?, cur.str()?, cur.str()?))
+}
+
+const LINK_KINDS: [LinkKind; 5] = [
+    LinkKind::ExplicitCrossRef,
+    LinkKind::SequenceSimilarity,
+    LinkKind::TextSimilarity,
+    LinkKind::SharedTerm,
+    LinkKind::Duplicate,
+];
+
+fn put_links(buf: &mut Vec<u8>, links: &[Link]) {
+    persist::put_u32(buf, links.len() as u32);
+    for link in links {
+        put_object(buf, &link.from);
+        put_object(buf, &link.to);
+        let tag = LINK_KINDS.iter().position(|k| *k == link.kind);
+        buf.push(tag.unwrap_or_else(|| unreachable!("every kind is listed")) as u8);
+        persist::put_u64(buf, link.score.to_bits());
+        persist::put_str(buf, &link.evidence);
+    }
+}
+
+fn links(cur: &mut persist::Cursor<'_>) -> Result<Vec<Link>, RelError> {
+    let n = cur.u32()? as usize;
+    let mut out = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let from = object(cur)?;
+        let to = object(cur)?;
+        let kind = *LINK_KINDS
+            .get(usize::from(cur.u8()?))
+            .ok_or_else(|| RelError::Durability("unknown link kind".into()))?;
+        out.push(Link {
+            from,
+            to,
+            kind,
+            score: f64::from_bits(cur.u64()?),
+            evidence: cur.str()?,
+        });
+    }
+    Ok(out)
+}
+
+/// Encode a staged source's outcome, stamped with its commit event's
+/// sequence number and the discovery-config fingerprint. Scores are stored
+/// as their bits and evidence verbatim, so a loaded outcome is the
+/// committed one exactly.
+fn encode_outcome(discovered: &Discovered, stamp: u64, config: u64) -> Vec<u8> {
+    let mut buf = vec![OUTCOME_TAG];
+    persist::put_u64(&mut buf, stamp);
+    persist::put_u64(&mut buf, config);
+    put_links(&mut buf, &discovered.explicit_links);
+    put_links(&mut buf, &discovered.implicit_links);
+    put_links(&mut buf, &discovered.duplicate_links);
+    persist::put_u32(&mut buf, discovered.failures.len() as u32);
+    for f in &discovered.failures {
+        for field in [&f.source, &f.pair, &f.step, &f.error] {
+            persist::put_str(&mut buf, field);
+        }
+    }
+    buf
+}
+
+/// A stored outcome read back from disk (its stamp travels beside it).
+#[derive(Debug)]
+struct StoredOutcome {
+    /// [`discovery_fingerprint`] of the configuration that discovered it.
+    config: u64,
+    discovered: Discovered,
+}
+
+/// Read and decode a stored outcome (`.links` or `.links.next`) as
+/// `(outcome, stamp)`. Any damage is a [`RelError::Durability`].
+fn read_outcome(path: &Path) -> Result<(StoredOutcome, u64), RelError> {
+    let bytes = persist::read_blob(path)?;
+    let mut cur = persist::Cursor::new(&bytes);
+    if cur.u8()? != OUTCOME_TAG {
+        return Err(RelError::Durability("unknown outcome format".into()));
+    }
+    let stamp = cur.u64()?;
+    let config = cur.u64()?;
+    let explicit_links = links(&mut cur)?;
+    let implicit_links = links(&mut cur)?;
+    let duplicate_links = links(&mut cur)?;
+    let n = cur.u32()? as usize;
+    let mut failures = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        failures.push(PairFailure {
+            source: cur.str()?,
+            pair: cur.str()?,
+            step: cur.str()?,
+            error: cur.str()?,
+        });
+    }
+    if cur.remaining() != 0 {
+        return Err(RelError::Durability("trailing bytes after outcome".into()));
+    }
+    let discovered = Discovered {
+        explicit_links,
+        implicit_links,
+        duplicate_links,
+        failures,
+        ..Discovered::default()
+    };
+    Ok((StoredOutcome { config, discovered }, stamp))
 }
 
 /// Encode one committed-sources event of the pipeline event log.
@@ -595,25 +845,7 @@ impl Aladin {
             }
         }
 
-        // Steps 2 + 3: source-local analysis, one job per new source. A
-        // panicking analysis job is contained by the pool and converted into
-        // a per-source failure here.
-        let config = &self.config;
-        let analyses = run_jobs(config.workers, dbs.len(), |i| {
-            analyze_with_faults(&dbs[i], config)
-        });
-        let analyzed: Vec<AladinResult<(SourceStructure, Duration)>> = analyses
-            .into_iter()
-            .zip(&dbs)
-            .map(|(result, db)| match result {
-                Ok(inner) => inner,
-                Err(p) => Err(AladinError::Discovery(format!(
-                    "analysis of source '{}' panicked: {}",
-                    db.name(),
-                    p.message
-                ))),
-            })
-            .collect();
+        let analyzed = self.analyze_all(&dbs);
 
         // Steps 4 + 5: stage each source in input order against the
         // committed warehouse plus the sources staged before it. Nothing is
@@ -672,6 +904,28 @@ impl Aladin {
             }
         }
         Ok(BatchReport { outcomes })
+    }
+
+    /// Steps 2 + 3 for a batch: source-local analysis, one job per source
+    /// over [`AladinConfig::workers`] threads, results in input order. A
+    /// panicking analysis job is contained by the pool and becomes that
+    /// source's error.
+    fn analyze_all(&self, dbs: &[Database]) -> Vec<AladinResult<(SourceStructure, Duration)>> {
+        let config = &self.config;
+        run_jobs(config.workers, dbs.len(), |i| {
+            analyze_with_faults(&dbs[i], config)
+        })
+        .into_iter()
+        .zip(dbs)
+        .map(|(result, db)| match result {
+            Ok(inner) => inner,
+            Err(p) => Err(AladinError::Discovery(format!(
+                "analysis of source '{}' panicked: {}",
+                db.name(),
+                p.message
+            ))),
+        })
+        .collect()
     }
 
     /// Steps 4–5 for one analysed source, computed against the committed
@@ -738,20 +992,16 @@ impl Aladin {
 
         // Deterministic merge: outcomes arrive in warehouse (source-name)
         // order regardless of which worker finished first.
-        let mut explicit_links: Vec<Link> = Vec::new();
-        let mut implicit_links: Vec<Link> = Vec::new();
-        let mut duplicate_links: Vec<Link> = Vec::new();
-        let mut pairs_compared = 0usize;
-        let mut candidates_scored = 0usize;
-        let mut link_elapsed = Duration::ZERO;
-        let mut duplicate_elapsed = Duration::ZERO;
-        let mut pair_timings: Vec<StepTiming> = Vec::new();
+        let mut discovered = Discovered {
+            failures,
+            ..Discovered::default()
+        };
         for outcome in outcomes {
-            pairs_compared += outcome.pairs_compared;
-            candidates_scored += outcome.candidates_scored;
-            link_elapsed += outcome.link_elapsed;
-            duplicate_elapsed += outcome.duplicate_elapsed;
-            pair_timings.push(StepTiming {
+            discovered.pairs_compared += outcome.pairs_compared;
+            discovered.candidates_scored += outcome.candidates_scored;
+            discovered.link_elapsed += outcome.link_elapsed;
+            discovered.duplicate_elapsed += outcome.duplicate_elapsed;
+            discovered.pair_timings.push(StepTiming {
                 source: name.clone(),
                 step: "link discovery".to_string(),
                 pair: Some(outcome.other.clone()),
@@ -759,7 +1009,7 @@ impl Aladin {
                 output_count: outcome.explicit.len() + outcome.implicit.len(),
                 pairs_compared: outcome.pairs_compared,
             });
-            pair_timings.push(StepTiming {
+            discovered.pair_timings.push(StepTiming {
                 source: name.clone(),
                 step: "duplicate detection".to_string(),
                 pair: Some(outcome.other),
@@ -767,75 +1017,74 @@ impl Aladin {
                 output_count: outcome.duplicates.len(),
                 pairs_compared: outcome.candidates_scored,
             });
-            explicit_links.extend(outcome.explicit);
-            implicit_links.extend(outcome.implicit);
-            duplicate_links.extend(outcome.duplicates);
+            discovered.explicit_links.extend(outcome.explicit);
+            discovered.implicit_links.extend(outcome.implicit);
+            discovered.duplicate_links.extend(outcome.duplicates);
         }
-
-        let structure_timing = StepTiming {
-            output_count: structure.relationships.len(),
-            ..StepTiming::local(name.clone(), "structure discovery", structure_elapsed)
-        };
-        let report = IntegrationReport {
-            source: name.clone(),
-            tables: db.table_count(),
-            rows: db.total_rows(),
-            primary_relations: structure
-                .primary_relations
-                .iter()
-                .map(|p| (p.table.clone(), p.accession_column.clone()))
-                .collect(),
-            secondary_relations: structure.secondary_relations.len(),
-            relationships: structure.relationships.len(),
-            explicit_links: explicit_links.len(),
-            implicit_links: implicit_links.len(),
-            duplicates: duplicate_links.len(),
-            pairs_compared,
-            step_timings: vec![
-                structure_timing.clone(),
-                StepTiming {
-                    output_count: explicit_links.len() + implicit_links.len(),
-                    pairs_compared,
-                    ..StepTiming::local(name.clone(), "link discovery", link_elapsed)
-                },
-                StepTiming {
-                    output_count: duplicate_links.len(),
-                    pairs_compared: candidates_scored,
-                    ..StepTiming::local(name.clone(), "duplicate detection", duplicate_elapsed)
-                },
-            ],
-            quarantined: Vec::new(),
-            pair_failures: failures.clone(),
-        };
-
-        Ok(StagedSource {
+        Ok(StagedSource::assemble(
             db,
             structure,
-            structure_timing,
-            pair_timings,
-            explicit_links,
-            implicit_links,
-            duplicate_links,
-            failures,
-            report,
-        })
+            structure_elapsed,
+            discovered,
+        ))
+    }
+
+    /// Stage a recovered source from its stored outcome instead of running
+    /// steps 4–5. Of the outcome it keeps the links, duplicates and pair
+    /// failures whose other source is already committed: when sources are
+    /// recovered in last-commit order, those are exactly the pairs that
+    /// [`Aladin::stage_source`] would recompute. The rest were computed
+    /// against a version of a source that was refreshed later, or that was
+    /// lost.
+    fn stage_stored(
+        &self,
+        db: Database,
+        structure: SourceStructure,
+        structure_elapsed: Duration,
+        stored: Discovered,
+    ) -> StagedSource {
+        let name = db.name();
+        let served = |source: &str| source == name || self.warehouse.contains_key(source);
+        let keep = |links: Vec<Link>| -> Vec<Link> {
+            links
+                .into_iter()
+                .filter(|l| served(&l.from.source) && served(&l.to.source))
+                .collect()
+        };
+        let discovered = Discovered {
+            explicit_links: keep(stored.explicit_links),
+            implicit_links: keep(stored.implicit_links),
+            duplicate_links: keep(stored.duplicate_links),
+            failures: stored
+                .failures
+                .into_iter()
+                .filter(|f| self.warehouse.contains_key(&f.pair))
+                .collect(),
+            ..Discovered::default()
+        };
+        StagedSource::assemble(db, structure, structure_elapsed, discovered)
     }
 
     /// Persist the staged sources of one batch. The pipeline event log is
     /// opened first, so the sequence number of the batch's commit event is
     /// known; it is tiny (one record per batch), and re-opening it on every
     /// commit keeps [`Aladin`] free of file handles and therefore `Clone`.
-    /// Each source's checksummed snapshot is written beside the committed
-    /// one, as `sources/<escaped>.snap.next` stamped with that sequence
-    /// number, and then one event naming them all is appended.
+    /// Each source gets two checksummed files stamped with that sequence
+    /// number, written beside the committed ones and fsync'd: its snapshot
+    /// as `sources/<escaped>.snap.next`, and its outcome (explicit, implicit
+    /// and duplicate links with their scores' bits and evidence, and its
+    /// pair failures), tagged with the [`discovery_fingerprint`] of the
+    /// configuration, as `sources/<escaped>.links.next`. Then one event
+    /// naming them all is appended.
     ///
-    /// The event is the commit point. Until it is durable every `.snap`
-    /// still holds the published version: on any failure the `.next` files
-    /// are removed (best-effort) and the batch reports an
+    /// The event is the commit point. Until it is durable every `.snap` and
+    /// `.links` still holds the published version: on any failure the
+    /// `.next` files are removed (best-effort) and the batch reports an
     /// [`AladinError::Durability`] without mutating the warehouse. Once it
     /// is durable the batch has committed, so nothing after it fails the
-    /// call: each `.next` is renamed onto its `.snap`, and a `.next` left by
-    /// a crash or a failed rename is rolled forward by [`Aladin::open`].
+    /// call: each `.next` is renamed onto its committed path, and a `.next`
+    /// left by a crash or a failed rename is rolled forward by
+    /// [`Aladin::open`].
     fn persist_staged(&self, dir: &Path, staged: &[StagedSource]) -> AladinResult<()> {
         let sources_dir = dir.join("sources");
         std::fs::create_dir_all(&sources_dir).map_err(|e| {
@@ -847,16 +1096,22 @@ impl Aladin {
         let (_, mut log) = Wal::recover(&dir.join("pipeline.wal"), 0)
             .map_err(|e| durability("opening pipeline event log", e))?;
         let seq = log.last_seq() + 1;
+        let config = discovery_fingerprint(&self.config);
         let mut pending: Vec<(PathBuf, PathBuf)> = Vec::new();
         let mut names: Vec<String> = Vec::new();
         let outcome = (|| -> Result<(), AladinError> {
             for s in staged {
                 let name = s.report.source.clone();
-                let snapshot = sources_dir.join(source_snapshot_file(&name));
-                let next = pending_snapshot_path(&snapshot);
+                let snapshot = sources_dir.join(source_file(&name, "snap"));
+                let next = pending_path(&snapshot);
+                pending.push((next.clone(), snapshot));
                 persist::write_snapshot_at(&next, &s.db, seq)
                     .map_err(|e| durability(format!("writing snapshot for '{name}'"), e))?;
-                pending.push((next, snapshot));
+                let links = sources_dir.join(source_file(&name, "links"));
+                let next = pending_path(&links);
+                pending.push((next.clone(), links));
+                persist::write_blob(&next, &encode_outcome(&s.discovered, seq, config))
+                    .map_err(|e| durability(format!("writing outcome for '{name}'"), e))?;
                 names.push(name);
             }
             log.append(&pipeline_event(&names))
@@ -869,25 +1124,43 @@ impl Aladin {
             }
             return outcome;
         }
-        for (next, snapshot) in pending {
-            let _ = std::fs::rename(next, snapshot);
+        for (next, committed) in pending {
+            let _ = std::fs::rename(next, committed);
         }
         Ok(())
     }
 
     /// Reopen a durable warehouse from [`AladinConfig::data_dir`]: replay the
-    /// pipeline event log (truncating a torn tail), load every active
-    /// source's committed snapshot, and re-integrate them in last-commit
-    /// order. A missing or corrupt snapshot loses that source — reported in
-    /// [`PipelineRecovery::lost`] — never the whole warehouse. Discovery is
-    /// deterministic, so re-integration reproduces the links and duplicates
-    /// the crashed process had published.
+    /// pipeline event log (truncating a torn tail), then recover every active
+    /// source in last-commit order. Each source's committed snapshot is
+    /// loaded and its steps 2–3, which are source-local, run again. Its
+    /// links, duplicates and pair failures are loaded from its stored
+    /// outcome, of which it keeps the pairs whose other source is already
+    /// recovered, and it is committed through the same path as any
+    /// integration. No pair job runs for a loaded source, so it records no
+    /// per-pair [`StepTiming`]s; the whole recovery is recorded as one
+    /// "cold-start recovery" timing.
     ///
-    /// Roll-forward rule: a source's `.snap.next` whose stamp equals the
-    /// sequence number of the source's last replayed commit event was
-    /// committed before a crash cut its rename short, so it is renamed onto
-    /// `.snap` and loaded. Every other `.next` never committed and is
-    /// deleted.
+    /// A source is rediscovered instead, against the sources recovered
+    /// before it, and listed in [`PipelineRecovery::rediscovered`] when its
+    /// stored outcome:
+    /// - is missing or damaged (a store written before outcomes were stored
+    ///   has none);
+    /// - is stamped with a commit event other than the source's last one, or
+    ///   other than its loaded snapshot's;
+    /// - was written under a configuration that differs in any field but
+    ///   `data_dir`, `workers` and `faults`;
+    /// - holds pairs computed against an earlier source whose loaded
+    ///   snapshot is not the version that source's last commit event wrote.
+    ///
+    /// A missing or corrupt snapshot loses that source — reported in
+    /// [`PipelineRecovery::lost`] — never the whole warehouse.
+    ///
+    /// Roll-forward rule: a source's `.snap.next` or `.links.next` whose
+    /// stamp equals the sequence number of the source's last replayed commit
+    /// event was committed before a crash cut its rename short, so it is
+    /// renamed onto `.snap` or `.links` and loaded. Every other `.next`
+    /// never committed and is deleted.
     pub fn open(config: AladinConfig) -> AladinResult<(Aladin, PipelineRecovery)> {
         let start = Instant::now();
         let dir = config.data_dir.clone().ok_or_else(|| {
@@ -909,22 +1182,28 @@ impl Aladin {
             truncated_events,
             ..PipelineRecovery::default()
         };
+        let fingerprint = discovery_fingerprint(&config);
         let mut dbs = Vec::new();
+        // Per loaded source: whether its snapshot is the version its last
+        // commit event wrote, and its stored outcome if that can be trusted.
+        let mut stored: Vec<(bool, Option<Discovered>)> = Vec::new();
         let mut adopted: BTreeSet<PathBuf> = BTreeSet::new();
         for (name, seq) in active {
-            let snapshot = sources_dir.join(source_snapshot_file(&name));
-            let next = pending_snapshot_path(&snapshot);
-            match persist::read_snapshot(&next) {
-                Ok((db, stamp)) if stamp == seq => {
-                    let _ = std::fs::rename(&next, &snapshot);
-                    adopted.insert(next);
-                    dbs.push(db);
-                }
-                _ => match persist::read_snapshot(&snapshot) {
-                    Ok((db, _)) => dbs.push(db),
-                    Err(_) => recovery.lost.push(name),
-                },
-            }
+            let snapshot = sources_dir.join(source_file(&name, "snap"));
+            let Some((db, snapshot_stamp)) =
+                read_committed(&snapshot, seq, &mut adopted, persist::read_snapshot)
+            else {
+                recovery.lost.push(name);
+                continue;
+            };
+            let links = sources_dir.join(source_file(&name, "links"));
+            let outcome = read_committed(&links, seq, &mut adopted, read_outcome)
+                .filter(|(outcome, stamp)| {
+                    *stamp == seq && *stamp == snapshot_stamp && outcome.config == fingerprint
+                })
+                .map(|(outcome, _)| outcome.discovered);
+            dbs.push(db);
+            stored.push((snapshot_stamp == seq, outcome));
         }
         if let Ok(entries) = std::fs::read_dir(&sources_dir) {
             for path in entries.filter_map(|entry| entry.ok().map(|e| e.path())) {
@@ -933,18 +1212,38 @@ impl Aladin {
                 }
             }
         }
-        // Re-integrate with persistence off: the snapshots and events being
-        // replayed are already on disk, re-logging them would duplicate the
-        // history. `data_dir` is restored afterwards so later commits
-        // persist normally.
+        // Recover with persistence off: the snapshots, outcomes and events
+        // being replayed are already on disk, re-logging them would
+        // duplicate the history. `data_dir` is restored afterwards so later
+        // commits persist normally.
         let mut offline = config.clone();
         offline.data_dir = None;
         let mut aladin = Aladin::new(offline);
-        let report = aladin.add_databases_with(dbs, BatchErrorPolicy::ContinueOnError)?;
-        for outcome in &report.outcomes {
-            match outcome {
-                SourceOutcome::Integrated(r) => recovery.recovered.push(r.source.clone()),
-                SourceOutcome::Quarantined(f) => recovery.lost.push(f.source.clone()),
+        let analyses = aladin.analyze_all(&dbs);
+        // Whether every source recovered so far is the version its last
+        // commit event wrote: the stored pairs of later sources were
+        // computed against those versions.
+        let mut current = true;
+        for ((db, (snapshot_current, outcome)), analysis) in
+            dbs.into_iter().zip(stored).zip(analyses)
+        {
+            let name = db.name().to_string();
+            let outcome = outcome.filter(|_| current);
+            let rediscover = outcome.is_none();
+            let staged = analysis.and_then(|(structure, elapsed)| match outcome {
+                Some(outcome) => Ok(aladin.stage_stored(db, structure, elapsed, outcome)),
+                None => aladin.stage_source(db, structure, elapsed, &[], None),
+            });
+            match staged {
+                Ok(staged) => {
+                    aladin.commit_staged(staged);
+                    if rediscover {
+                        recovery.rediscovered.push(name.clone());
+                    }
+                    recovery.recovered.push(name);
+                    current &= snapshot_current;
+                }
+                Err(_) => recovery.lost.push(name),
             }
         }
         aladin.config.data_dir = config.data_dir;
@@ -965,22 +1264,18 @@ impl Aladin {
             db,
             structure,
             structure_timing,
-            pair_timings,
-            explicit_links,
-            implicit_links,
-            duplicate_links,
-            failures,
+            discovered,
             report,
         } = staged;
         self.metadata.add_timing(structure_timing);
-        for timing in pair_timings {
+        for timing in discovered.pair_timings {
             self.metadata.add_timing(timing);
         }
         self.metadata.put_structure(structure);
-        self.metadata.add_links(explicit_links);
-        self.metadata.add_links(implicit_links);
-        self.metadata.add_duplicates(duplicate_links);
-        for failure in failures {
+        self.metadata.add_links(discovered.explicit_links);
+        self.metadata.add_links(discovered.implicit_links);
+        self.metadata.add_duplicates(discovered.duplicate_links);
+        for failure in discovered.failures {
             self.metadata.add_failure(failure);
         }
         self.warehouse.insert(report.source.clone(), db);
@@ -1015,16 +1310,10 @@ impl Aladin {
         if changed_fraction < self.config.refresh_change_threshold {
             return Ok(None);
         }
-        let config = &self.config;
-        let (structure, elapsed) = run_jobs(1, 1, |_| analyze_with_faults(&db, config))
+        let (structure, elapsed) = self
+            .analyze_all(std::slice::from_ref(&db))
             .pop()
-            .unwrap_or_else(|| unreachable!("one job yields one result"))
-            .unwrap_or_else(|p| {
-                Err(AladinError::Discovery(format!(
-                    "analysis of source '{name}' panicked: {}",
-                    p.message
-                )))
-            })?;
+            .unwrap_or_else(|| unreachable!("one source yields one analysis"))?;
         let staged = self.stage_source(db, structure, elapsed, &[], Some(&name))?;
         // Durability: commit the new version on disk before swapping in
         // memory, so a crash during the swap recovers the refreshed version.

@@ -393,10 +393,13 @@ impl Server {
     }
 
     /// Restart serving from [`AladinConfig::data_dir`]: recover the
-    /// warehouse via [`Aladin::open`], read the published-generation marker,
-    /// and fast-forward the metadata generation so the first published
-    /// snapshot resumes at (not below) the last generation the crashed
-    /// server had published. Returns the server plus what recovery found.
+    /// warehouse via [`Aladin::open`] (which loads each source's stored
+    /// links and duplicates, and rediscovers only the sources listed in
+    /// [`PipelineRecovery::rediscovered`]), read the published-generation
+    /// marker, and fast-forward the metadata generation so the first
+    /// published snapshot resumes at (not below) the last generation the
+    /// crashed server had published. Returns the server plus what recovery
+    /// found.
     pub fn resume(
         config: AladinConfig,
         serve: ServeConfig,

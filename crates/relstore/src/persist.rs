@@ -16,8 +16,9 @@
 //! a staged one: the integration pipeline keeps one snapshot per source
 //! beside a log of commit events, and on restart rolls a staged snapshot
 //! forward only when its stamp matches its source's last replayed event.
-//! [`write_blob`] stores tiny metadata files, such as the serving layer's
-//! published-generation marker, the same way.
+//! [`write_blob`] stores other checksummed files the same way, such as the
+//! serving layer's published-generation marker and the pipeline's
+//! per-source stored links.
 
 use crate::catalog::Database;
 use crate::constraint::{Constraint, ForeignKey};
@@ -32,8 +33,8 @@ use std::path::{Path, PathBuf};
 /// First 8 bytes of every snapshot file.
 const SNAPSHOT_MAGIC: [u8; 8] = *b"ALDSNAP1";
 
-/// First 8 bytes of a small checksummed blob ([`write_blob`]), used for
-/// generation markers and other tiny metadata files.
+/// First 8 bytes of a checksummed blob ([`write_blob`]), used for
+/// generation markers and the pipeline's stored links.
 const BLOB_MAGIC: [u8; 8] = *b"ALDBLOB1";
 
 fn dur(msg: impl Into<String>) -> RelError {
@@ -442,8 +443,8 @@ pub fn read_snapshot(path: &Path) -> RelResult<(Database, u64)> {
     Ok((db, seq))
 }
 
-/// Write a small checksummed blob (magic + length + payload + CRC32)
-/// atomically — generation markers and other tiny metadata files.
+/// Write a checksummed blob (magic + length + payload + CRC32) atomically —
+/// generation markers and the pipeline's stored links.
 pub fn write_blob(path: &Path, payload: &[u8]) -> RelResult<()> {
     let mut buf = Vec::with_capacity(BLOB_MAGIC.len() + 12 + payload.len());
     buf.extend_from_slice(&BLOB_MAGIC);
