@@ -5,12 +5,13 @@
 //! An [`ObjectView`] holds the four relationship types of Section 4.6: same
 //! relation, dependency (secondary annotation), duplicates, and links to other
 //! sources. [`crate::access::Warehouse`] serves these views from its cached
-//! link adjacency; this module holds the routines it runs.
+//! row, annotation and link indexes; this module holds the view types and
+//! assembles a view from what those indexes return.
 
 use crate::error::{AladinError, AladinResult};
-use crate::metadata::{LinkKind, Neighbour, ObjectRef};
+use crate::metadata::{LinkKind, Neighbour, ObjectRef, PrimaryRelation};
 use crate::pipeline::Aladin;
-use crate::secondary::owner_accessions;
+use aladin_relstore::Table;
 
 /// One row of secondary annotation displayed with an object.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,193 +61,61 @@ pub(crate) fn resolve_object(
     Err(AladinError::UnknownObject(format!("{source}:{accession}")))
 }
 
-/// The `(column, value)` attribute pairs of an object's primary-relation row.
-pub(crate) fn object_attributes(
-    aladin: &Aladin,
-    object: &ObjectRef,
-) -> AladinResult<Vec<(String, String)>> {
-    let db = aladin.database(&object.source)?;
-    let structure = aladin
-        .metadata()
-        .structure(&object.source)
-        .ok_or_else(|| AladinError::UnknownSource(object.source.clone()))?;
-    let primary = structure
-        .primary_relations
-        .iter()
-        .find(|p| p.table.eq_ignore_ascii_case(&object.table))
-        .ok_or_else(|| AladinError::UnknownObject(object.to_string()))?;
-    let table = db.table(&primary.table)?;
-    let acc_idx = table.column_index(&primary.accession_column)?;
-    let row = table
-        .rows()
-        .iter()
-        .find(|r| r[acc_idx].renders_as(&object.accession))
-        .ok_or_else(|| AladinError::UnknownObject(object.to_string()))?;
-    Ok(table
+/// The `(column, value)` pairs of one row of a table, NULLs omitted.
+pub(crate) fn row_values(table: &Table, row: usize) -> Vec<(String, String)> {
+    table
         .schema()
         .columns()
         .iter()
-        .zip(row)
+        .zip(&table.rows()[row])
         .filter(|(_, v)| !v.is_null())
         .map(|(c, v)| (c.name.clone(), v.render()))
-        .collect())
+        .collect()
 }
 
-/// The secondary-annotation rows owned by an object, optionally restricted to
-/// one secondary table.
-pub(crate) fn object_annotation(
-    aladin: &Aladin,
-    object: &ObjectRef,
-    only_table: Option<&str>,
-) -> AladinResult<Vec<AnnotationRow>> {
-    let db = aladin.database(&object.source)?;
-    let structure = aladin
-        .metadata()
-        .structure(&object.source)
-        .ok_or_else(|| AladinError::UnknownSource(object.source.clone()))?;
-    let mut annotation = Vec::new();
-    for secondary in &structure.secondary_relations {
-        if secondary.path.is_empty() {
-            continue;
-        }
-        if let Some(t) = only_table {
-            if !secondary.table.eq_ignore_ascii_case(t) {
-                continue;
-            }
-        }
-        let sec_table = match db.table(&secondary.table) {
-            Ok(t) => t,
-            Err(_) => continue,
-        };
-        let owners = owner_accessions(
-            db,
-            &structure.primary_relations,
-            &structure.secondary_relations,
-            &structure.relationships,
-            &secondary.table,
-        )
-        .unwrap_or_else(|_| vec![None; sec_table.row_count()]);
-        for (i, row) in sec_table.rows().iter().enumerate() {
-            if owners.get(i).cloned().flatten().as_deref() == Some(object.accession.as_str()) {
-                annotation.push(AnnotationRow {
-                    table: secondary.table.clone(),
-                    values: sec_table
-                        .schema()
-                        .columns()
-                        .iter()
-                        .zip(row)
-                        .filter(|(_, v)| !v.is_null())
-                        .map(|(c, v)| (c.name.clone(), v.render()))
-                        .collect(),
-                });
-            }
-        }
-    }
-    Ok(annotation)
-}
-
-/// Annotation rows of one secondary table grouped by owning accession: one
-/// owner derivation and one table scan for the whole batch, instead of one
-/// per object.
-pub(crate) fn annotation_by_owner(
-    aladin: &Aladin,
-    source: &str,
-    table: &str,
-) -> AladinResult<std::collections::HashMap<String, Vec<AnnotationRow>>> {
-    let db = aladin.database(source)?;
-    let structure = aladin
-        .metadata()
-        .structure(source)
-        .ok_or_else(|| AladinError::UnknownSource(source.to_string()))?;
-    let mut by_owner: std::collections::HashMap<String, Vec<AnnotationRow>> =
-        std::collections::HashMap::new();
-    for secondary in &structure.secondary_relations {
-        if secondary.path.is_empty() || !secondary.table.eq_ignore_ascii_case(table) {
-            continue;
-        }
-        let sec_table = match db.table(&secondary.table) {
-            Ok(t) => t,
-            Err(_) => continue,
-        };
-        let owners = owner_accessions(
-            db,
-            &structure.primary_relations,
-            &structure.secondary_relations,
-            &structure.relationships,
-            &secondary.table,
-        )
-        .unwrap_or_else(|_| vec![None; sec_table.row_count()]);
-        for (i, row) in sec_table.rows().iter().enumerate() {
-            if let Some(owner) = owners.get(i).cloned().flatten() {
-                by_owner.entry(owner).or_default().push(AnnotationRow {
-                    table: secondary.table.clone(),
-                    values: sec_table
-                        .schema()
-                        .columns()
-                        .iter()
-                        .zip(row)
-                        .filter(|(_, v)| !v.is_null())
-                        .map(|(c, v)| (c.name.clone(), v.render()))
-                        .collect(),
-                });
-            }
-        }
-    }
-    Ok(by_owner)
+/// An object's row in its primary relation.
+pub(crate) struct PrimaryRow<'a> {
+    /// The primary relation, named as the source names it.
+    pub(crate) relation: &'a PrimaryRelation,
+    pub(crate) table: &'a Table,
+    /// Position of the accession column in `table`.
+    pub(crate) accession_column: usize,
+    pub(crate) row: usize,
 }
 
 /// How many same-relation neighbours a view shows.
 const SAME_RELATION_LIMIT: usize = 5;
 
-/// Build the full browsable view of one object given its link neighbourhood
-/// from the cached adjacency.
+/// Assemble the browsable view of one object from its primary row, the
+/// annotation rows it owns and its link neighbourhood.
 pub(crate) fn object_view(
-    aladin: &Aladin,
-    neighbours: &[Neighbour],
     object: &ObjectRef,
-) -> AladinResult<ObjectView> {
-    let source = &object.source;
-    let structure = aladin
-        .metadata()
-        .structure(source)
-        .ok_or_else(|| AladinError::UnknownSource(source.clone()))?;
-    let db = aladin.database(source)?;
-    let primary = structure
-        .primary_relations
-        .iter()
-        .find(|p| p.table.eq_ignore_ascii_case(&object.table))
-        .ok_or_else(|| AladinError::UnknownObject(object.to_string()))?;
-
-    let table = db.table(&primary.table)?;
-    let acc_idx = table.column_index(&primary.accession_column)?;
-    let row_idx = table
-        .rows()
-        .iter()
-        .position(|r| r[acc_idx].renders_as(&object.accession))
-        .ok_or_else(|| AladinError::UnknownObject(object.to_string()))?;
-
-    // Attributes of the primary row.
-    let attributes: Vec<(String, String)> = table
-        .schema()
-        .columns()
-        .iter()
-        .zip(&table.rows()[row_idx])
-        .filter(|(_, v)| !v.is_null())
-        .map(|(c, v)| (c.name.clone(), v.render()))
-        .collect();
+    primary: PrimaryRow<'_>,
+    annotation: Vec<AnnotationRow>,
+    neighbours: &[Neighbour],
+) -> ObjectView {
+    let PrimaryRow {
+        relation,
+        table,
+        accession_column,
+        row,
+    } = primary;
 
     // Same-relation neighbours.
     let same_relation: Vec<ObjectRef> = table
         .rows()
         .iter()
         .enumerate()
-        .filter(|(i, _)| *i != row_idx)
+        .filter(|(i, _)| *i != row)
         .take(SAME_RELATION_LIMIT)
-        .map(|(_, r)| ObjectRef::new(source, primary.table.clone(), r[acc_idx].render()))
+        .map(|(_, r)| {
+            ObjectRef::new(
+                &object.source,
+                relation.table.clone(),
+                r[accession_column].render(),
+            )
+        })
         .collect();
-
-    // Dependency neighbours: rows of secondary tables owned by this object.
-    let annotation = object_annotation(aladin, object, None)?;
 
     // Duplicates and cross-source links from the supplied neighbourhood.
     let mut duplicates = Vec::new();
@@ -265,14 +134,14 @@ pub(crate) fn object_view(
             .then_with(|| a.0.cmp(&b.0))
     });
 
-    Ok(ObjectView {
+    ObjectView {
         object: object.clone(),
-        attributes,
+        attributes: row_values(table, row),
         annotation,
         same_relation,
         duplicates,
         linked,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //!
 //! All read access goes through [`Warehouse`], a read-only view of one
 //! integrated pipeline that builds its caches (search index, link-adjacency
-//! map, accession row indexes) once, on first use. Integrate through
+//! map, accession row indexes, annotation indexes) once, on first use. Integrate through
 //! [`crate::pipeline::Aladin`], then wrap it with
 //! [`Warehouse::from_aladin`]. The paper's three access modes map onto it
 //! directly:

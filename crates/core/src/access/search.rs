@@ -8,9 +8,10 @@
 //! index plays that role.
 
 use crate::error::AladinResult;
-use crate::metadata::ObjectRef;
+use crate::metadata::{ObjectRef, SourceStructure};
 use crate::pipeline::Aladin;
-use crate::secondary::owner_accessions;
+use crate::secondary::TableOwners;
+use aladin_relstore::Database;
 use aladin_textmine::inverted::{InvertedIndex, SearchFilter, SearchHit};
 
 /// A ranked search result resolved to a primary object.
@@ -38,60 +39,65 @@ pub struct SearchIndex {
 impl SearchIndex {
     /// Build the index over the current state of the warehouse.
     pub fn build(aladin: &Aladin) -> AladinResult<SearchIndex> {
-        let mut index = InvertedIndex::new();
+        let mut index = SearchIndex::empty();
         for source in aladin.source_names() {
             let db = aladin.database(source)?;
-            let structure = match aladin.metadata().structure(source) {
-                Some(s) => s,
-                None => continue,
+            let Some(structure) = aladin.metadata().structure(source) else {
+                continue;
             };
-            // Index non-numeric fields of every table, attributed to the
-            // owning primary object.
-            for cs in &structure.column_stats {
-                if cs.all_numeric || cs.non_null_count() == 0 {
+            index.add_source(source, db, structure, &mut TableOwners::new(db, structure));
+        }
+        Ok(index)
+    }
+
+    /// An index of no documents, to fill source by source.
+    pub(crate) fn empty() -> SearchIndex {
+        SearchIndex {
+            index: InvertedIndex::new(),
+        }
+    }
+
+    /// Index the non-numeric fields of every table of one source, each
+    /// value attributed to the primary object that owns its row.
+    pub(crate) fn add_source<'a>(
+        &mut self,
+        source: &str,
+        db: &'a Database,
+        structure: &SourceStructure,
+        owners: &mut TableOwners<'a>,
+    ) {
+        for cs in &structure.column_stats {
+            if cs.all_numeric || cs.non_null_count() == 0 {
+                continue;
+            }
+            if cs.looks_like_sequence() {
+                continue; // sequences are searched by homology, not text
+            }
+            let Ok(table) = db.table(&cs.table) else {
+                continue;
+            };
+            let Ok(col) = table.column_index(&cs.column) else {
+                continue;
+            };
+            let primary_table = structure
+                .secondary(&cs.table)
+                .map_or(cs.table.as_str(), |s| s.primary_table.as_str());
+            for (row, owner) in table.rows().iter().zip(owners.of(table)) {
+                let v = &row[col];
+                if v.is_null() {
                     continue;
                 }
-                if cs.looks_like_sequence() {
-                    continue; // sequences are searched by homology, not text
-                }
-                let table = match db.table(&cs.table) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
-                let col = match table.column_index(&cs.column) {
-                    Ok(i) => i,
-                    Err(_) => continue,
-                };
-                let owners = owner_accessions(
-                    db,
-                    &structure.primary_relations,
-                    &structure.secondary_relations,
-                    &structure.relationships,
-                    &cs.table,
-                )
-                .unwrap_or_else(|_| vec![None; table.row_count()]);
-                let primary_table = structure
-                    .secondary(&cs.table)
-                    .map(|s| s.primary_table.clone())
-                    .unwrap_or_else(|| cs.table.clone());
-                for (row_idx, row) in table.rows().iter().enumerate() {
-                    let v = &row[col];
-                    if v.is_null() {
-                        continue;
-                    }
-                    if let Some(owner) = owners.get(row_idx).cloned().flatten() {
-                        let doc_id = format!("{source}\u{1}{primary_table}\u{1}{owner}");
-                        index.add_document(
-                            doc_id,
-                            source,
-                            format!("{}.{}", cs.table, cs.column),
-                            &v.render(),
-                        );
-                    }
+                if let Some(owner) = owner {
+                    let doc_id = format!("{source}\u{1}{primary_table}\u{1}{owner}");
+                    self.index.add_document(
+                        doc_id,
+                        source,
+                        format!("{}.{}", cs.table, cs.column),
+                        &v.render(),
+                    );
                 }
             }
         }
-        Ok(SearchIndex { index })
     }
 
     /// Number of indexed documents (field values).

@@ -7,8 +7,14 @@
 //! serving them cheap:
 //!
 //! * a [`SearchIndex`] over every textual field,
-//! * a [`LinkAdjacency`] map over every discovered link, and
-//! * per-source accession→row indexes for `O(1)` object materialization.
+//! * a [`LinkAdjacency`] map over every discovered link,
+//! * per-source accession→row indexes for `O(1)` object materialization, and
+//! * per-source annotation indexes, owner accession → the secondary rows it
+//!   owns, so a view or an annotation join reads only its own rows.
+//!
+//! The search and annotation indexes share one owner vector per table
+//! ([`crate::secondary::owner_accessions`]), derived once per warehouse
+//! version.
 //!
 //! A warehouse is a read-only view of one integrated [`Aladin`] pipeline:
 //! it has no write API, so its caches are built once, on first use or by
@@ -50,12 +56,15 @@
 //! assert_eq!(kinases[0].object.accession, "P10001");
 //! ```
 
-use crate::access::browse::{self, object_attributes, object_view, resolve_object, ObjectView};
+use crate::access::browse::{
+    object_view, resolve_object, row_values, AnnotationRow, ObjectView, PrimaryRow,
+};
 use crate::access::query::{build_join_path_plan, cross_source_over, run_sql};
 use crate::access::search::{ObjectHit, SearchIndex};
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkAdjacency, LinkKind, MetadataRepository, ObjectRef, PipelineMetrics};
 use crate::pipeline::Aladin;
+use crate::secondary::TableOwners;
 use aladin_relstore::expr::like_match;
 use aladin_relstore::plan::{fingerprint_bytes, SortKey};
 use aladin_relstore::{Database, Expr, LogicalPlan, Table, Value};
@@ -73,18 +82,24 @@ const DEFAULT_SEARCH_LIMIT: usize = 50;
 /// `source → table → accession → row`.
 type RowIndex = HashMap<String, HashMap<String, HashMap<String, usize>>>;
 
+/// The secondary-annotation rows each object owns, nested `source → owner
+/// accession → (position in the source's secondary_relations, row)`, in the
+/// order a view lists them: by secondary relation, then by row.
+type AnnotationIndex = HashMap<String, HashMap<String, Vec<(usize, usize)>>>;
+
 /// Everything the facade caches between queries.
 struct AccessCaches {
     search: SearchIndex,
     adjacency: LinkAdjacency,
     rows: RowIndex,
+    annotations: AnnotationIndex,
 }
 
 impl AccessCaches {
     fn build(aladin: &Aladin) -> AladinResult<AccessCaches> {
-        let search = SearchIndex::build(aladin)?;
-        let adjacency = aladin.metadata().build_adjacency();
+        let mut search = SearchIndex::empty();
         let mut rows: RowIndex = HashMap::new();
+        let mut annotations: AnnotationIndex = HashMap::new();
         for source in aladin.source_names() {
             if aladin
                 .config()
@@ -100,6 +115,10 @@ impl AccessCaches {
                 None => continue,
             };
             let db = aladin.database(source)?;
+            // One owner vector per table, shared by the search index and
+            // the annotation index.
+            let mut owners = TableOwners::new(db, structure);
+            search.add_source(source, db, structure, &mut owners);
             let per_source = rows.entry(source.to_string()).or_default();
             for primary in &structure.primary_relations {
                 let table = db.table(&primary.table)?;
@@ -113,21 +132,108 @@ impl AccessCaches {
                 }
                 per_source.insert(primary.table.clone(), index);
             }
+            let by_owner = annotations.entry(source.to_string()).or_default();
+            for (position, secondary) in structure.secondary_relations.iter().enumerate() {
+                if secondary.path.is_empty() {
+                    continue;
+                }
+                let Ok(table) = db.table(&secondary.table) else {
+                    continue;
+                };
+                for (row, owner) in (0..table.row_count()).zip(owners.take(table)) {
+                    if let Some(owner) = owner {
+                        by_owner.entry(owner).or_default().push((position, row));
+                    }
+                }
+            }
         }
         Ok(AccessCaches {
             search,
-            adjacency,
+            adjacency: aladin.metadata().build_adjacency(),
             rows,
+            annotations,
         })
     }
 
-    /// Row index of one primary relation, if the table is primary.
-    fn row_of(&self, object: &ObjectRef) -> Option<usize> {
-        self.rows
-            .get(&object.source)?
-            .get(&object.table)?
-            .get(&object.accession)
-            .copied()
+    /// Row of an accession in one primary relation, named exactly as the
+    /// source names it.
+    fn row_of(&self, source: &str, table: &str, accession: &str) -> Option<usize> {
+        self.rows.get(source)?.get(table)?.get(accession).copied()
+    }
+
+    /// An object's primary row, resolved as a scan of its primary relation
+    /// would resolve it: the table name in any case, and errors in the same
+    /// order and words.
+    fn primary_row<'a>(
+        &self,
+        aladin: &'a Aladin,
+        object: &ObjectRef,
+    ) -> AladinResult<PrimaryRow<'a>> {
+        let unknown = || AladinError::UnknownObject(object.to_string());
+        let structure = aladin
+            .metadata()
+            .structure(&object.source)
+            .ok_or_else(|| AladinError::UnknownSource(object.source.clone()))?;
+        let db = aladin.database(&object.source)?;
+        let relation = structure
+            .primary_relations
+            .iter()
+            .find(|p| p.table.eq_ignore_ascii_case(&object.table))
+            .ok_or_else(unknown)?;
+        let table = db.table(&relation.table)?;
+        let accession_column = table.column_index(&relation.accession_column)?;
+        // The row index holds no NULL accession, and a NULL renders as the
+        // empty string: only that accession needs the scan.
+        let row = if object.accession.is_empty() {
+            table
+                .rows()
+                .iter()
+                .position(|r| r[accession_column].renders_as(""))
+        } else {
+            self.row_of(&object.source, &relation.table, &object.accession)
+        }
+        .ok_or_else(unknown)?;
+        Ok(PrimaryRow {
+            relation,
+            table,
+            accession_column,
+            row,
+        })
+    }
+
+    /// The annotation rows an object owns, in view order, optionally only
+    /// those of one secondary table (named in any case).
+    fn annotation(
+        &self,
+        aladin: &Aladin,
+        object: &ObjectRef,
+        only_table: Option<&str>,
+    ) -> AladinResult<Vec<AnnotationRow>> {
+        let Some(owned) = self
+            .annotations
+            .get(&object.source)
+            .and_then(|by_owner| by_owner.get(&object.accession))
+        else {
+            return Ok(Vec::new());
+        };
+        let secondaries = &aladin
+            .metadata()
+            .structure(&object.source)
+            .ok_or_else(|| AladinError::UnknownSource(object.source.clone()))?
+            .secondary_relations;
+        let db = aladin.database(&object.source)?;
+        let mut out = Vec::new();
+        for &(position, row) in owned {
+            let secondary = &secondaries[position];
+            if only_table.is_some_and(|t| !secondary.table.eq_ignore_ascii_case(t)) {
+                continue;
+            }
+            out.push(AnnotationRow {
+                table: secondary.table.clone(),
+                values: row_values(db.table(&secondary.table)?, row),
+            });
+        }
+        Ok(out)
     }
 }
 
@@ -247,7 +353,14 @@ impl Warehouse {
     /// four neighbour kinds.
     pub fn view(&self, object: &ObjectRef) -> AladinResult<ObjectView> {
         let caches = self.caches()?;
-        object_view(&self.aladin, caches.adjacency.neighbours(object), object)
+        let primary = caches.primary_row(&self.aladin, object)?;
+        let annotation = caches.annotation(&self.aladin, object, None)?;
+        Ok(object_view(
+            object,
+            primary,
+            annotation,
+            caches.adjacency.neighbours(object),
+        ))
     }
 
     /// Objects reachable from a start object by following links of every
@@ -395,7 +508,7 @@ pub struct ObjectRecord {
     pub attributes: Vec<(String, String)>,
     /// Secondary-annotation rows, present for the tables requested with
     /// [`ObjectQuery::join_annotation`].
-    pub annotation: Vec<browse::AnnotationRow>,
+    pub annotation: Vec<AnnotationRow>,
 }
 
 impl ObjectRecord {
@@ -710,8 +823,17 @@ impl<'w> ObjectQuery<'w> {
         let aladin = &self.warehouse.aladin;
         let mut hits: Vec<(ObjectRef, RecordOrigin)> = match &self.spec.root {
             QueryRoot::Scan => {
+                // A scan narrowed to one source by its first stage lists only
+                // that source; the stage itself still runs below.
+                let sources = match self.spec.ops.first() {
+                    Some(QueryOp::FromSource(source)) => {
+                        aladin.database(source)?;
+                        vec![source.as_str()]
+                    }
+                    _ => aladin.source_names(),
+                };
                 let mut out = Vec::new();
-                for source in aladin.source_names() {
+                for source in sources {
                     for object in aladin.objects_of(source)? {
                         out.push((object, RecordOrigin::Scan));
                     }
@@ -1048,52 +1170,34 @@ fn walk_links(
 }
 
 /// Attributes of an object's primary row, via the cached row index when the
-/// object is in a primary relation, falling back to a scan otherwise.
+/// object names its primary relation exactly, resolved like a scan otherwise.
 fn attributes_for(
     aladin: &Aladin,
     caches: &AccessCaches,
     object: &ObjectRef,
 ) -> AladinResult<Vec<(String, String)>> {
-    if let Some(row_idx) = caches.row_of(object) {
-        let db = aladin.database(&object.source)?;
-        let table = db.table(&object.table)?;
-        let row = &table.rows()[row_idx];
-        return Ok(table
-            .schema()
-            .columns()
-            .iter()
-            .zip(row)
-            .filter(|(_, v)| !v.is_null())
-            .map(|(c, v)| (c.name.clone(), v.render()))
-            .collect());
+    if let Some(row) = caches.row_of(&object.source, &object.table, &object.accession) {
+        let table = aladin.database(&object.source)?.table(&object.table)?;
+        return Ok(row_values(table, row));
     }
-    object_attributes(aladin, object)
+    let primary = caches.primary_row(aladin, object)?;
+    Ok(row_values(primary.table, primary.row))
 }
 
-/// Materialize records for a slice of resolved hits. Annotation joins are
-/// batched: the owner map of each requested `(source, table)` pair is
-/// derived once per call, not once per record.
+/// Materialize records for a slice of resolved hits, annotation joins read
+/// from the cached annotation index.
 fn materialize(
     aladin: &Aladin,
     caches: &AccessCaches,
     hits: &[(ObjectRef, RecordOrigin)],
     annotations: &[String],
 ) -> AladinResult<Vec<ObjectRecord>> {
-    type OwnerMap = HashMap<String, Vec<browse::AnnotationRow>>;
-    let mut owner_maps: HashMap<(String, String), OwnerMap> = HashMap::new();
     let mut out = Vec::with_capacity(hits.len());
     for (object, origin) in hits {
         let attributes = attributes_for(aladin, caches, object)?;
         let mut annotation = Vec::new();
         for table in annotations {
-            let key = (object.source.clone(), table.clone());
-            if !owner_maps.contains_key(&key) {
-                let map = browse::annotation_by_owner(aladin, &object.source, table)?;
-                owner_maps.insert(key.clone(), map);
-            }
-            if let Some(rows) = owner_maps[&key].get(&object.accession) {
-                annotation.extend(rows.iter().cloned());
-            }
+            annotation.extend(caches.annotation(aladin, object, Some(table))?);
         }
         out.push(ObjectRecord {
             object: object.clone(),

@@ -8,8 +8,8 @@
 //! "owns" a row of an annotation table during link discovery.
 
 use crate::error::{AladinError, AladinResult};
-use crate::metadata::{PrimaryRelation, SecondaryRelation};
-use aladin_relstore::{Database, Value};
+use crate::metadata::{PrimaryRelation, SecondaryRelation, SourceStructure};
+use aladin_relstore::{Database, Table, Value};
 use aladin_schema_match::ind::InclusionDependency;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -246,6 +246,55 @@ pub fn owner_accessions(
     }
 
     Ok(current)
+}
+
+/// The owner vectors ([`owner_accessions`]) of one source's tables, each
+/// derived on first request and kept, so the warehouse's access caches
+/// derive each table's once however many indexes read it. A table whose
+/// owners cannot be resolved owns none of its rows.
+pub(crate) struct TableOwners<'a> {
+    db: &'a Database,
+    structure: &'a SourceStructure,
+    /// Keyed on the table's own name: every spelling of it resolves to the
+    /// same table and the same owners.
+    by_table: HashMap<&'a str, Vec<Option<String>>>,
+}
+
+impl<'a> TableOwners<'a> {
+    pub(crate) fn new(db: &'a Database, structure: &'a SourceStructure) -> TableOwners<'a> {
+        TableOwners {
+            db,
+            structure,
+            by_table: HashMap::new(),
+        }
+    }
+
+    /// The owner of every row of `table`.
+    pub(crate) fn of(&mut self, table: &'a Table) -> &[Option<String>] {
+        let (db, structure) = (self.db, self.structure);
+        self.by_table
+            .entry(table.name())
+            .or_insert_with(|| derive_owners(db, structure, table))
+    }
+
+    /// Take the owner vector of `table` out, deriving it if nothing asked
+    /// for it yet, so its strings can move into an index.
+    pub(crate) fn take(&mut self, table: &'a Table) -> Vec<Option<String>> {
+        self.by_table
+            .remove(table.name())
+            .unwrap_or_else(|| derive_owners(self.db, self.structure, table))
+    }
+}
+
+fn derive_owners(db: &Database, structure: &SourceStructure, table: &Table) -> Vec<Option<String>> {
+    owner_accessions(
+        db,
+        &structure.primary_relations,
+        &structure.secondary_relations,
+        &structure.relationships,
+        table.name(),
+    )
+    .unwrap_or_else(|_| vec![None; table.row_count()])
 }
 
 /// Pick the best relationship connecting `parent` and `child` when several

@@ -23,12 +23,14 @@
 //!   [`Server::view`], [`Server::join_path`]) consult a bounded LRU cache
 //!   keyed on `(generation, normalized fingerprint)` — [`QuerySpec`]
 //!   fingerprints for object queries, parsed-plan fingerprints for SQL —
-//!   with a byte budget ([`ServeConfig`]). Every read does one lookup and
-//!   stores at most one entry, its result. Publishing a new snapshot purges
-//!   every entry of older generations, so a cached result can never be
-//!   served across a version boundary. Hit/miss/eviction counters surface
-//!   through [`ServeMetrics`] ([`Server::metrics`]), mirroring
-//!   [`crate::metadata::PipelineMetrics`] for the integration side.
+//!   with a byte budget and an entry cap ([`ServeConfig`]). An entry is
+//!   charged an estimate of its heap size, read off the result without
+//!   rendering it. Every read does one lookup and stores at most one entry,
+//!   its result. Publishing a new snapshot purges every entry of older
+//!   generations, so a cached result can never be served across a version
+//!   boundary. Hit/miss/eviction counters surface through [`ServeMetrics`]
+//!   ([`Server::metrics`]), mirroring [`crate::metadata::PipelineMetrics`]
+//!   for the integration side.
 //! * **Invalid queries are refused before execution.** On a cache miss,
 //!   [`Server::fetch`] and [`Server::sql`] run the static analyzer
 //!   ([`aladin_relstore::analyze`]) over the compiled plan and reject
@@ -55,7 +57,9 @@
 //! # Ok(()) }
 //! ```
 
-use crate::access::{ObjectHit, ObjectRecord, ObjectView, QuerySpec, Warehouse};
+use crate::access::{
+    AnnotationRow, ObjectHit, ObjectRecord, ObjectView, QuerySpec, RecordOrigin, Warehouse,
+};
 use crate::config::AladinConfig;
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::ObjectRef;
@@ -63,10 +67,9 @@ use crate::pipeline::{Aladin, IntegrationReport, PipelineRecovery};
 use aladin_relstore::exec::execute_checked;
 use aladin_relstore::plan::fingerprint_bytes;
 use aladin_relstore::sql::Statement;
-use aladin_relstore::{persist, Database, RelError, Table};
+use aladin_relstore::{persist, Database, RelError, Table, Value};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Debug;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -78,8 +81,10 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 /// Tuning knobs of the serving layer's query-result cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Byte budget of the cache (approximate, measured on the canonical
-    /// rendering of each cached value). `0` disables caching entirely.
+    /// Byte budget of the cache. Each cached value is charged an estimate
+    /// of its heap size, the lengths of the strings it holds plus a fixed
+    /// cost per element, so the budget is approximate. `0` disables caching
+    /// entirely.
     pub cache_capacity_bytes: usize,
     /// Maximum number of cached entries, evicting least-recently-used
     /// beyond it. `0` disables caching entirely.
@@ -256,15 +261,14 @@ impl QueryCache {
         }
     }
 
-    /// Cache `value`, charging the byte budget with the length of its
-    /// canonical `Debug` rendering plus a fixed overhead. An approximation
-    /// (rendered once at insert time), but monotone in the real size and
-    /// cheap enough for serving-cache insert rates.
-    fn store<T: Debug + Send + Sync + 'static>(&self, key: CacheKey, value: Arc<T>) {
+    /// Cache `value`, charging the byte budget with its [`Charge`] plus a
+    /// fixed overhead per entry: an estimate of its heap size, read off the
+    /// value without rendering it.
+    fn store<T: Charge + Send + Sync + 'static>(&self, key: CacheKey, value: Arc<T>) {
         if !self.enabled() {
             return;
         }
-        let bytes = format!("{value:?}").len() + 64;
+        let bytes = value.charge() + 64;
         if bytes > self.capacity_bytes {
             // Larger than the whole budget: caching it would evict
             // everything and still not fit.
@@ -309,6 +313,102 @@ impl QueryCache {
             state.recency.remove(&tick);
             state.bytes -= bytes;
         }
+    }
+}
+
+/// What a cached value charges against the byte budget: the lengths of the
+/// strings it holds plus [`ELEMENT_BYTES`] for each element that holds them
+/// (object reference, `(column, value)` pair, annotation row, table column,
+/// table row, value). An estimate of its heap size, growing with the
+/// result, computed without rendering it.
+trait Charge {
+    fn charge(&self) -> usize;
+}
+
+/// Bytes charged per element beside the strings it holds: the inline size
+/// of one [`Value`]. Most elements are larger (a `(String, String)` pair
+/// takes 48 bytes inline), so the estimate errs low rather than high.
+const ELEMENT_BYTES: usize = std::mem::size_of::<Value>();
+
+fn object_charge(object: &ObjectRef) -> usize {
+    ELEMENT_BYTES + object.source.len() + object.table.len() + object.accession.len()
+}
+
+fn pairs_charge(pairs: &[(String, String)]) -> usize {
+    pairs
+        .iter()
+        .map(|(column, value)| ELEMENT_BYTES + column.len() + value.len())
+        .sum()
+}
+
+fn annotation_charge(rows: &[AnnotationRow]) -> usize {
+    rows.iter()
+        .map(|row| ELEMENT_BYTES + row.table.len() + pairs_charge(&row.values))
+        .sum()
+}
+
+impl Charge for Vec<ObjectRecord> {
+    fn charge(&self) -> usize {
+        self.iter()
+            .map(|record| {
+                let via = match &record.origin {
+                    RecordOrigin::Linked { via, .. } => object_charge(via),
+                    _ => 0,
+                };
+                object_charge(&record.object)
+                    + via
+                    + pairs_charge(&record.attributes)
+                    + annotation_charge(&record.annotation)
+            })
+            .sum()
+    }
+}
+
+impl Charge for Vec<ObjectHit> {
+    fn charge(&self) -> usize {
+        self.iter()
+            .map(|hit| object_charge(&hit.object) + hit.field.len())
+            .sum()
+    }
+}
+
+impl Charge for ObjectView {
+    fn charge(&self) -> usize {
+        let neighbours = self.same_relation.iter().map(object_charge);
+        let duplicates = self
+            .duplicates
+            .iter()
+            .map(|(object, _)| object_charge(object));
+        let linked = self.linked.iter().map(|(object, ..)| object_charge(object));
+        object_charge(&self.object)
+            + pairs_charge(&self.attributes)
+            + annotation_charge(&self.annotation)
+            + neighbours.chain(duplicates).chain(linked).sum::<usize>()
+    }
+}
+
+impl Charge for Table {
+    fn charge(&self) -> usize {
+        let columns: usize = self
+            .schema()
+            .columns()
+            .iter()
+            .map(|column| ELEMENT_BYTES + column.name.len())
+            .sum();
+        let values = |row: &[Value]| -> usize {
+            row.iter()
+                .map(|value| match value {
+                    Value::Text(text) => ELEMENT_BYTES + text.len(),
+                    _ => ELEMENT_BYTES,
+                })
+                .sum()
+        };
+        let rows: usize = self
+            .rows()
+            .iter()
+            .map(|row| ELEMENT_BYTES + values(row))
+            .sum();
+        self.name().len() + columns + rows
     }
 }
 
@@ -541,7 +641,7 @@ impl Server {
     /// current snapshot, and serve `(generation, key)` from the cache — or
     /// run `miss` on the snapshot's warehouse and cache its result. A `None`
     /// key is served uncached; errors are never cached.
-    fn read<T: Debug + Send + Sync + 'static>(
+    fn read<T: Charge + Send + Sync + 'static>(
         &self,
         key: Option<u64>,
         miss: impl FnOnce(&Warehouse) -> AladinResult<T>,
@@ -893,6 +993,101 @@ mod tests {
         tiny.fetch(&specs[0]).unwrap();
         assert_eq!(tiny.metrics().cache_hits, 0);
         assert_eq!(tiny.metrics().cache_entries, 0);
+    }
+
+    /// The bytes one read leaves charged on a fresh server over `db`.
+    fn charge_of(db: Database, read: impl FnOnce(&Server)) -> usize {
+        let server = server_over(db);
+        read(&server);
+        let m = server.metrics();
+        assert_eq!(m.cache_entries, 1);
+        m.cache_bytes
+    }
+
+    #[test]
+    fn every_read_api_charges_more_for_a_larger_result() {
+        let fetch = |spec: QuerySpec, len: usize| {
+            move |s: &Server| assert_eq!(s.fetch(&spec).unwrap().len(), len)
+        };
+        assert!(
+            charge_of(protkb(), fetch(QuerySpec::accession("protkb", "P10001"), 1))
+                < charge_of(protkb(), fetch(QuerySpec::scan(), 3))
+        );
+
+        let search = |top_k: usize, len: usize| {
+            move |s: &Server| assert_eq!(s.search("kinase sugar", top_k).unwrap().len(), len)
+        };
+        assert!(charge_of(protkb(), search(1, 1)) < charge_of(protkb(), search(10, 2)));
+
+        // GO:0001 has the longer name and two synonyms, GO:0003 one.
+        let view = |accession: &'static str, synonyms: usize| {
+            move |s: &Server| {
+                let term = ObjectRef::new("goterms", "terms", accession);
+                assert_eq!(s.view(&term).unwrap().annotation.len(), synonyms);
+            }
+        };
+        assert!(
+            charge_of(goterms(), view("GO:0003", 1)) < charge_of(goterms(), view("GO:0001", 2))
+        );
+
+        let sql = |query: &'static str, rows: usize| {
+            move |s: &Server| assert_eq!(s.sql("protkb", query).unwrap().row_count(), rows)
+        };
+        assert!(
+            charge_of(protkb(), sql("SELECT ac FROM protkb_entry LIMIT 1", 1))
+                < charge_of(protkb(), sql("SELECT ac FROM protkb_entry", 3))
+        );
+
+        let join = |rows: usize| {
+            move |s: &Server| {
+                assert_eq!(
+                    s.join_path("goterms", "term:syn").unwrap().row_count(),
+                    rows
+                )
+            }
+        };
+        let mut more_synonyms = goterms();
+        more_synonyms
+            .insert(
+                "term:syn",
+                vec![Value::Int(14), Value::Int(2), Value::text("sugar uptake")],
+            )
+            .unwrap();
+        assert!(charge_of(goterms(), join(4)) < charge_of(more_synonyms, join(5)));
+    }
+
+    #[test]
+    fn a_result_charged_above_the_budget_is_not_cached() {
+        let one = QuerySpec::accession("protkb", "P10001");
+        let budget = charge_of(protkb(), |s| {
+            s.fetch(&one).unwrap();
+        });
+        let config = AladinConfig {
+            link_min_matches: 1,
+            min_distinct_values: 2,
+            ..Default::default()
+        };
+        let mut aladin = Aladin::new(config);
+        aladin.add_database(protkb()).unwrap();
+        let exact = ServeConfig {
+            cache_capacity_bytes: budget,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(aladin, exact).unwrap();
+
+        // The one-record result fits the budget exactly; the full scan is
+        // charged above it, so it is served but never cached, and evicts
+        // nothing.
+        server.fetch(&one).unwrap();
+        let all = QuerySpec::scan();
+        assert_eq!(server.fetch(&all).unwrap().len(), 3);
+        assert_eq!(server.fetch(&all).unwrap().len(), 3);
+        server.fetch(&one).unwrap();
+        let m = server.metrics();
+        assert_eq!(m.cache_entries, 1);
+        assert_eq!(m.cache_bytes, budget);
+        assert_eq!(m.cache_evictions, 0);
+        assert_eq!((m.cache_hits, m.cache_misses), (1, 3));
     }
 
     #[test]
