@@ -8,9 +8,7 @@
 //! row, annotation and link indexes; this module holds the view types and
 //! assembles a view from what those indexes return.
 
-use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkKind, Neighbour, ObjectRef, PrimaryRelation};
-use crate::pipeline::Aladin;
 use aladin_relstore::Table;
 
 /// One row of secondary annotation displayed with an object.
@@ -37,28 +35,6 @@ pub struct ObjectView {
     pub duplicates: Vec<(ObjectRef, f64)>,
     /// Links into other sources with their kinds and scores.
     pub linked: Vec<(ObjectRef, LinkKind, f64)>,
-}
-
-/// Resolve an accession within a source to an object reference by scanning
-/// the source's primary relations.
-pub(crate) fn resolve_object(
-    aladin: &Aladin,
-    source: &str,
-    accession: &str,
-) -> AladinResult<ObjectRef> {
-    let structure = aladin
-        .metadata()
-        .structure(source)
-        .ok_or_else(|| AladinError::UnknownSource(source.to_string()))?;
-    let db = aladin.database(source)?;
-    for primary in &structure.primary_relations {
-        let table = db.table(&primary.table)?;
-        let idx = table.column_index(&primary.accession_column)?;
-        if table.rows().iter().any(|r| r[idx].renders_as(accession)) {
-            return Ok(ObjectRef::new(source, primary.table.clone(), accession));
-        }
-    }
-    Err(AladinError::UnknownObject(format!("{source}:{accession}")))
 }
 
 /// The `(column, value)` pairs of one row of a table, NULLs omitted.

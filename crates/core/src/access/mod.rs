@@ -47,7 +47,7 @@
 //! [`ObjectHit`]) and the [`SearchIndex`] it caches.
 
 pub mod browse;
-mod query;
+pub(crate) mod query;
 pub mod search;
 pub mod warehouse;
 

@@ -17,18 +17,17 @@ use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkAdjacency, LinkKind, ObjectRef};
 use crate::pipeline::Aladin;
 use aladin_relstore::{
-    analyze, exec, optimize, sql, ColumnDef, LogicalPlan, Table, TableSchema, Value,
+    analyze, exec, optimize, sql, ColumnDef, Database, LogicalPlan, Table, TableSchema, Value,
 };
 
-/// Run a SQL statement against the imported schema of one source. `SELECT`s
-/// are statically analyzed first (see [`aladin_relstore::analyze`]) and
-/// refused on error diagnostics, then execute through the rule-based
-/// optimizer and the streaming executor; `EXPLAIN SELECT ...` returns the
-/// optimized plan as a one-column table of plan lines, followed by the
-/// analysis section when the analyzer has something to say.
-pub(crate) fn run_sql(aladin: &Aladin, source: &str, query: &str) -> AladinResult<Table> {
-    let db = aladin.database(source)?;
-    match sql::parse_statement(query)? {
+/// Run a parsed statement against one source's database. `SELECT`s are
+/// statically analyzed first (see [`aladin_relstore::analyze`]) and refused
+/// on error diagnostics, then execute through the rule-based optimizer and
+/// the streaming executor; `EXPLAIN SELECT ...` returns the optimized plan
+/// as a one-column table of plan lines, followed by the analysis section
+/// when the analyzer has something to say.
+pub(crate) fn run_statement(db: &Database, statement: sql::Statement) -> AladinResult<Table> {
+    match statement {
         sql::Statement::Select(plan) => Ok(exec::execute_checked(db, &plan)?),
         sql::Statement::Explain(plan) => {
             let analysis = analyze::analyze(db, &plan);

@@ -56,10 +56,8 @@
 //! assert_eq!(kinases[0].object.accession, "P10001");
 //! ```
 
-use crate::access::browse::{
-    object_view, resolve_object, row_values, AnnotationRow, ObjectView, PrimaryRow,
-};
-use crate::access::query::{build_join_path_plan, cross_source_over, run_sql};
+use crate::access::browse::{object_view, row_values, AnnotationRow, ObjectView, PrimaryRow};
+use crate::access::query::{build_join_path_plan, cross_source_over, run_statement};
 use crate::access::search::{ObjectHit, SearchIndex};
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::{LinkAdjacency, LinkKind, MetadataRepository, ObjectRef, PipelineMetrics};
@@ -328,25 +326,23 @@ impl Warehouse {
     /// Resolve an accession within a source to an object reference.
     pub fn find_object(&self, source: &str, accession: &str) -> AladinResult<ObjectRef> {
         let caches = self.caches()?;
-        if let Some(structure) = self.aladin.metadata().structure(source) {
-            if !structure.primary_relations.is_empty() {
-                // Probe in primary-relation order (not map order) so the
-                // resolved table is deterministic for multi-primary sources.
-                let tables = caches.rows.get(source);
-                for primary in &structure.primary_relations {
-                    if tables
-                        .and_then(|t| t.get(&primary.table))
-                        .is_some_and(|index| index.contains_key(accession))
-                    {
-                        return Ok(ObjectRef::new(source, primary.table.clone(), accession));
-                    }
-                }
-                return Err(AladinError::UnknownObject(format!("{source}:{accession}")));
+        let structure = self
+            .aladin
+            .metadata()
+            .structure(source)
+            .ok_or_else(|| AladinError::UnknownSource(source.to_string()))?;
+        // Probe in primary-relation order (not map order) so the resolved
+        // table is deterministic for multi-primary sources.
+        let tables = caches.rows.get(source);
+        for primary in &structure.primary_relations {
+            if tables
+                .and_then(|t| t.get(&primary.table))
+                .is_some_and(|index| index.contains_key(accession))
+            {
+                return Ok(ObjectRef::new(source, primary.table.clone(), accession));
             }
         }
-        // Source exists but has no primary relations, or is unknown: fall
-        // back to the scanning resolver for its error reporting.
-        resolve_object(&self.aladin, source, accession)
+        Err(AladinError::UnknownObject(format!("{source}:{accession}")))
     }
 
     /// The full browsable view of one object: attributes, annotation, and the
@@ -402,9 +398,11 @@ impl Warehouse {
 
     // -- query mode ---------------------------------------------------------
 
-    /// Run a SQL query against the imported schema of one source.
+    /// Run a SQL query against the imported schema of one source. An
+    /// unknown source is reported before a parse error.
     pub fn sql(&self, source: &str, query: &str) -> AladinResult<Table> {
-        run_sql(&self.aladin, source, query)
+        let db = self.database(source)?;
+        run_statement(db, aladin_relstore::sql::parse_statement(query)?)
     }
 
     /// Logical plan joining a source's primary relation to a secondary table
@@ -1529,6 +1527,32 @@ pub(crate) mod tests {
             .plan()
             .unwrap_err();
         assert!(err.to_string().contains("wildcards"), "{err}");
+    }
+
+    #[test]
+    fn find_object_errors_name_the_missing_source_or_object() {
+        let mut aladin = pipeline();
+        let mut numbers = Database::new("numbers");
+        numbers
+            .create_table(
+                "pairs",
+                TableSchema::of(vec![ColumnDef::int("a"), ColumnDef::int("b")]),
+            )
+            .unwrap();
+        numbers
+            .insert("pairs", vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        aladin.add_database(numbers).unwrap();
+        let w = Warehouse::from_aladin(aladin);
+        let structure = w.metadata().structure("numbers").unwrap();
+        assert!(structure.primary_relations.is_empty());
+
+        let error = |source: &str, accession: &str| {
+            w.find_object(source, accession).unwrap_err().to_string()
+        };
+        assert_eq!(error("missing", "P10001"), "unknown source: missing");
+        assert_eq!(error("numbers", "1"), "unknown object: numbers:1");
+        assert_eq!(error("protkb", "NOPE99"), "unknown object: protkb:NOPE99");
     }
 
     #[test]

@@ -15,13 +15,17 @@ use aladin_relstore::stats::ColumnStats;
 use aladin_relstore::Database;
 use std::collections::BTreeMap;
 
+/// Minimum fraction of rows with a non-null value for a column to be an
+/// accession candidate.
+const MIN_COVERAGE: f64 = 0.9;
+
 /// Decide whether a profiled unique column qualifies as an accession-number
 /// candidate under the configured thresholds.
 fn is_accession_candidate(stats: &ColumnStats, config: &AladinConfig) -> bool {
     if stats.non_null_count() == 0 || !stats.is_unique {
         return false;
     }
-    if stats.coverage() < config.accession_min_coverage {
+    if stats.coverage() < MIN_COVERAGE {
         return false;
     }
     if stats.min_len < config.accession_min_length {
@@ -30,10 +34,13 @@ fn is_accession_candidate(stats: &ColumnStats, config: &AladinConfig) -> bool {
     if stats.max_len > config.accession_max_length {
         return false;
     }
-    if config.accession_require_non_digit && stats.char_profile.has_non_digit < 1.0 {
+    // Require at least one non-digit character in every value.
+    if stats.char_profile.has_non_digit < 1.0 {
         return false;
     }
-    if config.accession_reject_whitespace && stats.char_profile.has_whitespace > 0.0 {
+    // Reject values containing whitespace (accession numbers are single
+    // tokens; titles and descriptions are not).
+    if stats.char_profile.has_whitespace > 0.0 {
         return false;
     }
     if stats.length_spread() > config.accession_max_length_spread {
@@ -236,5 +243,40 @@ mod tests {
         db.insert("t", vec![Value::text("SAME1")]).unwrap();
         let stats = profile_table(db.table("t").unwrap(), 5).unwrap();
         assert!(!is_accession_candidate(&stats[0], &AladinConfig::default()));
+    }
+
+    /// Whether a one-column text table of `values` (`None` for NULL) is an
+    /// accession candidate under the default configuration.
+    fn admits(values: &[Option<String>]) -> bool {
+        let mut db = Database::new("x");
+        db.create_table("t", TableSchema::of(vec![ColumnDef::text("acc")]))
+            .unwrap();
+        for value in values {
+            let value = value.as_deref().map_or(Value::Null, Value::text);
+            db.insert("t", vec![value]).unwrap();
+        }
+        let stats = profile_table(db.table("t").unwrap(), 5).unwrap();
+        is_accession_candidate(&stats[0], &AladinConfig::default())
+    }
+
+    #[test]
+    fn all_digit_and_spaced_values_are_not_accessions() {
+        let column = |prefix: &str| -> Vec<Option<String>> {
+            (0..10).map(|i| Some(format!("{prefix}{i:04}"))).collect()
+        };
+        assert!(admits(&column("AC")));
+        assert!(!admits(&column("10")));
+        assert!(!admits(&column("AC ")));
+    }
+
+    #[test]
+    fn ninety_percent_coverage_is_admitted_and_less_is_not() {
+        let column = |non_null: usize| -> Vec<Option<String>> {
+            (0..100)
+                .map(|i| (i < non_null).then(|| format!("AC{i:04}")))
+                .collect()
+        };
+        assert!(admits(&column(90)));
+        assert!(!admits(&column(89)));
     }
 }

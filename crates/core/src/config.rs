@@ -1,4 +1,6 @@
-//! Configuration of the ALADIN discovery heuristics.
+//! Configuration of the ALADIN discovery heuristics that experiments ablate
+//! or callers tune; a rule with one value in use is a private constant
+//! beside the heuristic that applies it.
 
 /// How primary relations are selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +123,14 @@ impl FaultInjection {
     }
 }
 
-/// Configuration of all discovery heuristics, with the paper's thresholds as
+/// Configuration of the discovery heuristics, with the paper's thresholds as
 /// defaults.
+///
+/// Fixed rules are not here: the accession candidate's coverage, non-digit
+/// and whitespace tests (`accession`), the explicit-link match fraction
+/// (`links::explicit`), the per-pair cap on implicit links
+/// (`links::implicit`) and the refresh change threshold
+/// ([`crate::pipeline::Aladin::refresh_source`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AladinConfig {
     // -- accession candidate detection (Section 4.2) --
@@ -136,14 +144,6 @@ pub struct AladinConfig {
     /// that would otherwise pass the uniqueness/length-spread tests. Ablated
     /// in experiment E3.
     pub accession_max_length: usize,
-    /// Require at least one non-digit character in every value.
-    pub accession_require_non_digit: bool,
-    /// Reject candidates whose values contain whitespace (accession numbers
-    /// are single tokens; titles and descriptions are not).
-    pub accession_reject_whitespace: bool,
-    /// Minimum fraction of rows with a non-null value for a column to be an
-    /// accession candidate.
-    pub accession_min_coverage: f64,
 
     // -- primary relation selection --
     /// Single vs. multiple primary relations.
@@ -155,9 +155,6 @@ pub struct AladinConfig {
     /// Minimum number of matching values for an attribute pair to be treated
     /// as a cross-reference attribute.
     pub link_min_matches: usize,
-    /// Minimum fraction of the source attribute's non-null values that must
-    /// match the target accession set.
-    pub link_min_match_fraction: f64,
     /// Minimum distinct values for a link-source attribute (with
     /// `exclude_low_cardinality`).
     pub min_distinct_values: usize,
@@ -168,9 +165,6 @@ pub struct AladinConfig {
     /// Maximum number of objects annotated with a term for the term to be
     /// used for shared-term links (very common terms link everything).
     pub shared_term_max_objects: usize,
-    /// Maximum number of implicit links kept per object pair discovery run
-    /// and per kind (guards against quadratic blow-up on large corpora).
-    pub max_implicit_links_per_pair: usize,
 
     // -- duplicate detection --
     /// Similarity threshold above which two objects are flagged duplicates.
@@ -200,11 +194,6 @@ pub struct AladinConfig {
     /// (source name, then pair, then row).
     pub workers: usize,
 
-    // -- maintenance --
-    /// Fraction of changed rows in a source above which a full re-analysis is
-    /// triggered (Section 6.2's change threshold).
-    pub refresh_change_threshold: f64,
-
     // -- fault tolerance --
     /// Error-handling policy of batch integrations; `FailFast` keeps the
     /// historical all-or-nothing behaviour.
@@ -212,15 +201,6 @@ pub struct AladinConfig {
     /// Malformed records tolerated (and quarantined) per source during
     /// import; `0` fails the source on the first malformed record.
     pub import_error_budget: usize,
-    /// Fetch attempts per file for the source-reading layer (1 = no
-    /// retries).
-    pub import_retry_attempts: usize,
-    /// Base backoff in milliseconds between fetch retries; the delay grows
-    /// exponentially (`base * 2^(n-1)` before retry `n`).
-    pub import_retry_backoff_ms: u64,
-    /// Upper bound in milliseconds on any single fetch-retry delay (the
-    /// exponential curve is capped here, jitter-free).
-    pub import_retry_max_backoff_ms: u64,
     /// Deterministic fault injection for tests and the fault harness; inert
     /// by default.
     pub faults: FaultInjection,
@@ -242,18 +222,13 @@ impl Default for AladinConfig {
             accession_min_length: 4,
             accession_max_length_spread: 0.2,
             accession_max_length: 32,
-            accession_require_non_digit: true,
-            accession_reject_whitespace: true,
-            accession_min_coverage: 0.9,
             primary_selection: PrimarySelection::Single,
             pruning: PruningConfig::default(),
             link_min_matches: 2,
-            link_min_match_fraction: 0.05,
             min_distinct_values: 3,
             sequence_link_threshold: 0.5,
             text_link_threshold: 0.35,
             shared_term_max_objects: 50,
-            max_implicit_links_per_pair: 10_000,
             duplicate_threshold: 0.55,
             duplicate_measure: DuplicateMeasure::TfIdf,
             duplicate_candidates: 5,
@@ -261,12 +236,8 @@ impl Default for AladinConfig {
             duplicate_block_cap: 64,
             duplicate_window: 8,
             workers: 0,
-            refresh_change_threshold: 0.1,
             batch_policy: BatchErrorPolicy::FailFast,
             import_error_budget: 0,
-            import_retry_attempts: 3,
-            import_retry_backoff_ms: 10,
-            import_retry_max_backoff_ms: 1_000,
             faults: FaultInjection::default(),
             data_dir: None,
         }
@@ -316,19 +287,10 @@ impl AladinConfig {
         self
     }
 
-    /// The import options implied by this configuration.
+    /// The import options implied by this configuration: its error budget,
+    /// with [`aladin_import::RetryPolicy::default`] for fetched sources.
     pub fn import_options(&self) -> aladin_import::ImportOptions {
-        aladin_import::ImportOptions {
-            error_budget: self.import_error_budget,
-            retry: aladin_import::RetryPolicy::exponential(
-                self.import_retry_attempts.max(1),
-                std::time::Duration::from_millis(self.import_retry_backoff_ms),
-                std::time::Duration::from_millis(
-                    self.import_retry_max_backoff_ms
-                        .max(self.import_retry_backoff_ms),
-                ),
-            ),
-        }
+        aladin_import::ImportOptions::tolerant(self.import_error_budget)
     }
 }
 
@@ -341,7 +303,6 @@ mod tests {
         let c = AladinConfig::default();
         assert_eq!(c.accession_min_length, 4);
         assert!((c.accession_max_length_spread - 0.2).abs() < 1e-9);
-        assert!(c.accession_require_non_digit);
         assert_eq!(c.primary_selection, PrimarySelection::Single);
         assert!(c.pruning.exclude_numeric);
         assert!(c.pruning.targets_primary_only);

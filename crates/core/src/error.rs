@@ -36,9 +36,6 @@ pub enum AladinError {
     Discovery(String),
     /// A source with the same name is already integrated.
     DuplicateSource(String),
-    /// A source was quarantined during a continue-on-error batch: its
-    /// integration failed, the rest of the batch proceeded without it.
-    Quarantined(SourceFailure),
     /// A batch integration completed for some sources but not all of them.
     PartialIntegration {
         /// The sources that failed, in batch order, each with its error.
@@ -63,9 +60,6 @@ impl fmt::Display for AladinError {
             AladinError::UnknownObject(s) => write!(f, "unknown object: {s}"),
             AladinError::Discovery(m) => write!(f, "discovery failed: {m}"),
             AladinError::DuplicateSource(s) => write!(f, "source already integrated: {s}"),
-            AladinError::Quarantined(failure) => {
-                write!(f, "source quarantined: {failure}")
-            }
             AladinError::PartialIntegration { failures } => {
                 write!(
                     f,
@@ -89,7 +83,6 @@ impl std::error::Error for AladinError {
         match self {
             AladinError::Storage(e) => Some(e),
             AladinError::Import(e) => Some(e),
-            AladinError::Quarantined(failure) => Some(failure.error.as_ref()),
             AladinError::PartialIntegration { failures } => failures
                 .first()
                 .map(|f| f.error.as_ref() as &(dyn std::error::Error + 'static)),
@@ -167,16 +160,13 @@ mod tests {
                 budget: 3,
             })),
         };
-        let q = AladinError::Quarantined(failure.clone());
-        assert!(q.to_string().contains("genedb"));
-        assert!(q.to_string().contains("budget 3"));
-        assert!(q.source().unwrap().to_string().contains("error budget"));
-
         let p = AladinError::PartialIntegration {
             failures: vec![failure],
         };
         assert!(p.to_string().contains("1 source(s) failed"));
         assert!(p.to_string().contains("genedb"));
         assert!(p.source().is_some());
+        assert!(p.to_string().contains("budget 3"));
+        assert!(p.source().unwrap().to_string().contains("error budget"));
     }
 }

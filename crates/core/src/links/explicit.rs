@@ -27,6 +27,10 @@ pub struct ExplicitLinkOutcome {
     pub pruning: PruningStats,
 }
 
+/// Minimum fraction of the source attribute's non-null values that must
+/// match the target accession set.
+const MIN_MATCH_FRACTION: f64 = 0.05;
+
 /// Extract the candidate identifier tokens of a raw value: the full trimmed
 /// value, its `;`/`,`/`|`/whitespace-separated tokens, and each token with a
 /// single leading `prefix:` stripped (covering `Uniprot:P11140` and
@@ -62,8 +66,8 @@ fn identifier_tokens(value: &str) -> Vec<String> {
 /// against the accession index of every primary relation of the target. An
 /// attribute pair is accepted as a cross-reference attribute when at least
 /// `link_min_matches` values match and the matching fraction reaches
-/// `link_min_match_fraction`; each matching row then produces an object-level
-/// link from the row's owning primary object to the referenced target object.
+/// 5 %; each matching row then produces an object-level link from the row's
+/// owning primary object to the referenced target object.
 pub fn discover_explicit_links(
     from_db: &Database,
     from_structure: &SourceStructure,
@@ -200,9 +204,7 @@ pub fn discover_explicit_links(
             if matches.len() < config.link_min_matches {
                 continue;
             }
-            if non_null > 0
-                && (matches.len() as f64 / non_null as f64) < config.link_min_match_fraction
-            {
+            if non_null > 0 && (matches.len() as f64 / non_null as f64) < MIN_MATCH_FRACTION {
                 continue;
             }
             // Don't link a primary accession column against itself across the
@@ -326,7 +328,6 @@ mod tests {
     fn discovers_links_through_dr_lines() {
         let config = AladinConfig {
             link_min_matches: 1,
-            link_min_match_fraction: 0.0,
             min_distinct_values: 2,
             ..Default::default()
         };
@@ -356,6 +357,60 @@ mod tests {
             .links
             .iter()
             .all(|l| l.kind == LinkKind::ExplicitCrossRef));
+    }
+
+    #[test]
+    fn an_attribute_needs_five_percent_of_its_values_to_match() {
+        // 50 entries, one DR row each; the first `hits` name a structdb
+        // structure, the rest name nothing.
+        let referencing = |hits: usize| {
+            let mut db = Database::new("refdb");
+            db.create_table(
+                "ref_entry",
+                TableSchema::of(vec![ColumnDef::int("entry_id"), ColumnDef::text("ac")]),
+            )
+            .unwrap();
+            db.create_table(
+                "ref_dr",
+                TableSchema::of(vec![
+                    ColumnDef::int("dr_id"),
+                    ColumnDef::int("entry_id"),
+                    ColumnDef::text("value"),
+                ]),
+            )
+            .unwrap();
+            let targets = ["1ABC", "2DEF", "3GHI"][..hits]
+                .iter()
+                .map(|acc| acc.to_string())
+                .chain((hits..50).map(|i| format!("9X{i:02}")));
+            for (i, target) in targets.enumerate() {
+                let id = Value::Int(i as i64 + 1);
+                db.insert(
+                    "ref_entry",
+                    vec![id.clone(), Value::text(format!("R{i:05}"))],
+                )
+                .unwrap();
+                db.insert(
+                    "ref_dr",
+                    vec![id.clone(), id, Value::text(format!("STRUCTDB; {target}"))],
+                )
+                .unwrap();
+            }
+            db
+        };
+        let config = AladinConfig::default();
+        let structdb_db = structdb();
+        let structdb_structure = analyze_database(&structdb_db, &config).unwrap();
+        let links = |hits: usize| {
+            let db = referencing(hits);
+            let structure = analyze_database(&db, &config).unwrap();
+            discover_explicit_links(&db, &structure, &structdb_db, &structdb_structure, &config)
+                .unwrap()
+                .links
+                .len()
+        };
+        assert_eq!(links(2), 0);
+        assert_eq!(links(3), 3);
     }
 
     #[test]

@@ -16,6 +16,10 @@ use aladin_seq::blast::BlastIndex;
 use aladin_textmine::tfidf::TfIdfModel;
 use std::collections::{HashMap, HashSet};
 
+/// Maximum number of implicit links kept per object pair discovery run
+/// and per kind (guards against quadratic blow-up on large corpora).
+const MAX_LINKS_PER_PAIR: usize = 10_000;
+
 /// Collect `(owner accession, value)` pairs of all columns of a source that
 /// satisfy a predicate on the column statistics.
 fn collect_field_values<F>(
@@ -146,7 +150,7 @@ pub fn discover_sequence_links(
                     ),
                 });
             }
-            if links.len() >= config.max_implicit_links_per_pair {
+            if links.len() >= MAX_LINKS_PER_PAIR {
                 return Ok(links);
             }
         }
@@ -201,7 +205,7 @@ pub fn discover_text_links(
                     evidence: format!("tf-idf cosine {score:.2}"),
                 });
             }
-            if links.len() >= config.max_implicit_links_per_pair {
+            if links.len() >= MAX_LINKS_PER_PAIR {
                 return Ok(links);
             }
         }
@@ -296,7 +300,7 @@ pub fn discover_shared_term_links(
                         evidence: format!("shared value '{value}'"),
                     });
                 }
-                if links.len() >= config.max_implicit_links_per_pair {
+                if links.len() >= MAX_LINKS_PER_PAIR {
                     return Ok(links);
                 }
             }

@@ -79,6 +79,10 @@ use std::time::{Duration, Instant};
 /// Number of sample values stored per column in the metadata repository.
 const SAMPLE_SIZE: usize = 10;
 
+/// Fraction of changed rows in a source at or above which a full
+/// re-analysis is triggered (Section 6.2's change threshold).
+const REFRESH_CHANGE_THRESHOLD: f64 = 0.1;
+
 /// Analyse the internal structure of a single source (steps 2 and 3 of the
 /// integration process), without reference to any other source.
 pub fn analyze_database(db: &Database, config: &AladinConfig) -> AladinResult<SourceStructure> {
@@ -512,17 +516,22 @@ fn read_committed<T>(
 }
 
 /// Fingerprint of the configuration discovery runs under: FNV-1a of its
-/// `Debug` rendering with `data_dir`, `workers` and `faults` reset to their
-/// defaults. Those three never change what a healthy run discovers (the
-/// worker count only changes which thread runs a pair), so a store opened
-/// from another directory, with another worker count or with faults armed
-/// still loads its outcomes. Any other changed field rediscovers.
+/// `Debug` rendering with `data_dir`, `workers`, `faults`, `batch_policy`
+/// and `import_error_budget` reset to their defaults. Those five never
+/// change what a healthy run discovers from a committed snapshot (the
+/// worker count only changes which thread runs a pair; the batch policy and
+/// the error budget only decide what gets committed), so a store opened
+/// from another directory, with another worker count, with faults armed or
+/// under another error policy still loads its outcomes. Any other changed
+/// field rediscovers.
 fn discovery_fingerprint(config: &AladinConfig) -> u64 {
     let defaults = AladinConfig::default();
     let canonical = AladinConfig {
         data_dir: defaults.data_dir,
         workers: defaults.workers,
         faults: defaults.faults,
+        batch_policy: defaults.batch_policy,
+        import_error_budget: defaults.import_error_budget,
         ..config.clone()
     };
     fingerprint_bytes(format!("{canonical:?}").as_bytes())
@@ -1289,9 +1298,9 @@ impl Aladin {
     }
 
     /// Handle a changed source (Section 6.2's maintenance discussion): if the
-    /// fraction of changed rows is below the configured threshold the update
-    /// is deferred (returns `None`); otherwise the source is fully
-    /// re-integrated (returns the new report).
+    /// fraction of changed rows is below 0.1 the update is deferred (returns
+    /// `None`); otherwise the source is fully re-integrated (returns the new
+    /// report).
     ///
     /// Transactional: the new version is analysed and staged against the
     /// warehouse *minus* the stale version first, and the stale version is
@@ -1307,7 +1316,7 @@ impl Aladin {
         if !self.warehouse.contains_key(&name) {
             return Err(AladinError::UnknownSource(name));
         }
-        if changed_fraction < self.config.refresh_change_threshold {
+        if changed_fraction < REFRESH_CHANGE_THRESHOLD {
             return Ok(None);
         }
         let (structure, elapsed) = self
@@ -1517,6 +1526,10 @@ mod tests {
         assert!(outcome.is_some());
         assert!(aladin.link_count() >= 3);
         assert_eq!(aladin.source_count(), 2);
+
+        // The threshold is 0.1: just below defers, 0.1 itself re-integrates.
+        assert!(aladin.refresh_source(protkb(), 0.0999).unwrap().is_none());
+        assert!(aladin.refresh_source(protkb(), 0.1).unwrap().is_some());
 
         // Refreshing an unknown source is an error.
         assert!(aladin.refresh_source(Database::new("nope"), 1.0).is_err());

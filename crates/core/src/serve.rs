@@ -57,6 +57,7 @@
 //! # Ok(()) }
 //! ```
 
+use crate::access::query::run_statement;
 use crate::access::{
     AnnotationRow, ObjectHit, ObjectRecord, ObjectView, QuerySpec, RecordOrigin, Warehouse,
 };
@@ -64,7 +65,6 @@ use crate::config::AladinConfig;
 use crate::error::{AladinError, AladinResult};
 use crate::metadata::ObjectRef;
 use crate::pipeline::{Aladin, IntegrationReport, PipelineRecovery};
-use aladin_relstore::exec::execute_checked;
 use aladin_relstore::plan::fingerprint_bytes;
 use aladin_relstore::sql::Statement;
 use aladin_relstore::{persist, Database, RelError, Table, Value};
@@ -703,10 +703,10 @@ impl Server {
     /// Run a SQL query against one source on the current snapshot. `SELECT`
     /// statements are keyed on the parsed plan's structural fingerprint —
     /// texts differing only in keyword case or whitespace share one cache
-    /// entry — and on a miss run through
-    /// [`aladin_relstore::exec::execute_checked`], as [`Warehouse::sql`]
-    /// does: statically analyzed and refused on error diagnostics, then
-    /// optimized and executed. `EXPLAIN` is served uncached.
+    /// entry — and on a miss run as [`Warehouse::sql`] runs them:
+    /// statically analyzed and refused on error diagnostics, then optimized
+    /// and executed. `EXPLAIN` is served uncached. A parse error is reported
+    /// before an unknown source, since the cache key needs the parse.
     pub fn sql(&self, source: &str, query: &str) -> AladinResult<Arc<Table>> {
         let statement = aladin_relstore::sql::parse_statement(query);
         let key = match &statement {
@@ -717,9 +717,9 @@ impl Server {
             // cache space; a parse error is returned as is.
             _ => None,
         };
-        self.read(key, |w| match statement? {
-            Statement::Select(plan) => Ok(execute_checked(w.database(source)?, &plan)?),
-            Statement::Explain(_) => w.sql(source, query),
+        self.read(key, |w| {
+            let statement = statement?;
+            run_statement(w.database(source)?, statement)
         })
     }
 

@@ -6,7 +6,8 @@
 //! BLAST, [`BlastIndex`] first selects candidate subjects by counting shared
 //! k-mer seeds and only then aligns the best candidates exactly. Each
 //! candidate is scored first, without a traceback; the full alignment runs
-//! only for a candidate whose score reaches [`BlastParams::min_score`].
+//! only for a candidate whose score reaches the alphabet's minimum (20 for
+//! nucleotides, 30 for proteins).
 //! `aladin-core` turns the resulting [`HomologyHit`]s into implicit links
 //! between objects.
 //!
@@ -25,23 +26,23 @@ use crate::score::ScoringScheme;
 
 /// Parameters of the seeded homology search.
 #[derive(Debug, Clone)]
-pub struct BlastParams {
+struct BlastParams {
     /// K-mer word size used for seeding (BLAST uses 11 for DNA, 3 for
     /// proteins; the defaults here follow that split).
-    pub word_size: usize,
+    word_size: usize,
     /// Minimum number of shared seeds for a subject to be considered.
-    pub min_seeds: usize,
+    min_seeds: usize,
     /// Maximum number of candidate subjects to align per query.
-    pub max_candidates: usize,
+    max_candidates: usize,
     /// Minimum alignment score for a hit to be reported.
-    pub min_score: i32,
+    min_score: i32,
     /// Minimum identity fraction for a hit to be reported.
-    pub min_identity: f64,
+    min_identity: f64,
 }
 
 impl BlastParams {
     /// Default parameters for an alphabet.
-    pub fn for_alphabet(alphabet: Alphabet) -> BlastParams {
+    fn for_alphabet(alphabet: Alphabet) -> BlastParams {
         if alphabet.is_nucleotide() {
             BlastParams {
                 word_size: 8,

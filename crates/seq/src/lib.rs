@@ -19,7 +19,7 @@
 //! * [`blast`] — seed-and-extend homology search over a k-mer index, the
 //!   heuristic used for link discovery at corpus scale. Each candidate's
 //!   score comes first; the traceback runs only for candidates whose score
-//!   reaches [`BlastParams::min_score`]. [`BlastIndex::search_similar`]
+//!   reaches the alphabet's minimum. [`BlastIndex::search_similar`]
 //!   takes the caller's similarity floor and drops, before any scoring, a
 //!   candidate whose composition bound cannot reach it.
 //! * [`bound`] — that bound: the identities two sequences can share, from
@@ -39,6 +39,6 @@ pub mod score;
 
 pub use align::{local_align, Alignment};
 pub use alphabet::Alphabet;
-pub use blast::{BlastIndex, BlastParams, HomologyHit};
+pub use blast::{BlastIndex, HomologyHit};
 pub use kmer::KmerIndex;
 pub use score::ScoringScheme;

@@ -9,7 +9,8 @@
 //! panic, never a refusal to start.
 
 use aladin::core::{
-    Aladin, AladinConfig, Link, PipelineRecovery, ServeConfig, Server, SourceStructure, Warehouse,
+    Aladin, AladinConfig, BatchErrorPolicy, Link, PipelineRecovery, ServeConfig, Server,
+    SourceStructure, Warehouse,
 };
 use aladin::datagen::{
     duplicate_last_wal_record, flip_wal_byte, swap_last_two_wal_records, truncate_wal_mid_record,
@@ -532,6 +533,25 @@ fn a_damaged_outcome_file_rediscovers_only_its_source() {
         assert!(fingerprint(&reopened) == expected, "{what} outcome");
         std::fs::remove_dir_all(&store).ok();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_error_policy_change_still_loads_the_stored_outcomes() {
+    let corpus = corpus();
+    let dir = temp_dir("error-policy");
+    // Written under the default policy: fail fast, no error budget.
+    let published = fingerprint(&integrate_durable(&corpus, &dir));
+
+    let tolerant = AladinConfig::default()
+        .with_batch_policy(BatchErrorPolicy::ContinueOnError)
+        .with_import_error_budget(100)
+        .with_data_dir(&dir);
+    let (reopened, recovery) = Aladin::open(tolerant).unwrap();
+    assert_eq!(recovery.lost, Vec::<String>::new());
+    assert_eq!(recovery.rediscovered, Vec::<String>::new());
+    assert_eq!(recovery.recovered, source_names(&corpus));
+    assert!(fingerprint(&reopened) == published);
     std::fs::remove_dir_all(&dir).ok();
 }
 
